@@ -1,10 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.hpp"
-#include "obs/trace.hpp"
+#include "obs/json_writer.hpp"
 
 namespace rt3 {
 
@@ -133,38 +132,37 @@ std::int64_t MetricsRegistry::size() const {
 }
 
 std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
+  std::string out;
+  JsonWriter w(out);
   // Metric names embed label suffixes like {model="1"}, so keys MUST be
   // escaped to stay valid JSON.
-  os << "{\"counters\": {";
-  bool first = true;
+  w.raw("{\"counters\": {");
+  const char* sep = "";
   for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ", ") << "\"" << trace_json_escape(name)
-       << "\": " << c.value();
-    first = false;
+    w.raw(sep).string(name).raw(": ").integer(c.value());
+    sep = ", ";
   }
-  os << "}, \"gauges\": {";
-  first = true;
+  w.raw("}, \"gauges\": {");
+  sep = "";
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ", ") << "\"" << trace_json_escape(name)
-       << "\": " << trace_json_num(g.value());
-    first = false;
+    w.raw(sep).string(name).raw(": ").number(g.value());
+    sep = ", ";
   }
-  os << "}, \"histograms\": {";
-  first = true;
+  w.raw("}, \"histograms\": {");
+  sep = "";
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ", ") << "\"" << trace_json_escape(name)
-       << "\": {\"count\": " << h.count()
-       << ", \"sum\": " << trace_json_num(h.sum()) << ", \"buckets\": [";
-    const auto& buckets = h.buckets();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      os << (i ? ", " : "") << buckets[i];
+    w.raw(sep).string(name).raw(": {\"count\": ").integer(h.count());
+    w.raw(", \"sum\": ").number(h.sum()).raw(", \"buckets\": [");
+    const char* comma = "";
+    for (const std::int64_t b : h.buckets()) {
+      w.raw(comma).integer(b);
+      comma = ", ";
     }
-    os << "]}";
-    first = false;
+    w.raw("]}");
+    sep = ", ";
   }
-  os << "}}";
-  return os.str();
+  w.raw("}}");
+  return out;
 }
 
 namespace {
@@ -198,72 +196,62 @@ void split_key(const std::string& key, std::string* name,
   }
 }
 
-/// Merges an `le` label into an existing (possibly empty) label suffix.
-std::string with_le(const std::string& labels, const std::string& le) {
-  if (labels.empty()) {
-    return "{le=\"" + le + "\"}";
-  }
-  return labels.substr(0, labels.size() - 1) + ",le=\"" + le + "\"}";
-}
-
 }  // namespace
 
 std::string MetricsRegistry::to_prometheus() const {
-  std::ostringstream os;
+  std::string out;
+  JsonWriter w(out);
   // Map keys sort a bare name directly before its labeled variants
   // ('{' > every name character we emit), so one pass emits each
   // family's TYPE line exactly once, before its samples.
   std::string family;
-  for (const auto& [key, c] : counters_) {
-    std::string name, labels;
+  std::string name;
+  std::string labels;
+  // Splits `key` into the sanitized family name and its label suffix,
+  // writing the TYPE line when a new family starts.
+  const auto begin_sample = [&](const std::string& key, const char* type) {
     split_key(key, &name, &labels);
     const std::string pname = prom_name(name);
     if (pname != family) {
-      os << "# TYPE " << pname << " counter\n";
+      w.raw("# TYPE ").raw(pname).raw(' ').raw(type).raw('\n');
       family = pname;
     }
-    os << pname << labels << " " << c.value() << "\n";
+  };
+  for (const auto& [key, c] : counters_) {
+    begin_sample(key, "counter");
+    w.raw(family).raw(labels).raw(' ').integer(c.value()).raw('\n');
   }
   family.clear();
   for (const auto& [key, g] : gauges_) {
-    std::string name, labels;
-    split_key(key, &name, &labels);
-    const std::string pname = prom_name(name);
-    if (pname != family) {
-      os << "# TYPE " << pname << " gauge\n";
-      family = pname;
-    }
-    os << pname << labels << " " << trace_json_num(g.value()) << "\n";
+    begin_sample(key, "gauge");
+    w.raw(family).raw(labels).raw(' ').number(g.value()).raw('\n');
   }
   family.clear();
   for (const auto& [key, h] : histograms_) {
-    std::string name, labels;
-    split_key(key, &name, &labels);
-    const std::string pname = prom_name(name);
-    if (pname != family) {
-      os << "# TYPE " << pname << " histogram\n";
-      family = pname;
-    }
+    begin_sample(key, "histogram");
+    // `le` joins the label suffix: {le="x"} or {k="v",le="x"}.
+    std::string le_open = labels.empty() ? "{" : labels;
+    if (!labels.empty()) le_open.back() = ',';
+    le_open += "le=\"";
     const auto& buckets = h.buckets();
     std::int64_t cum = 0;
     // Bucket i (underflow = 0 .. last finite = n) has upper edge
     // bucket_lo(i + 1); the overflow bucket folds into +Inf.
-    for (std::size_t i = 0; i + 1 < buckets.size(); ++i) {
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
       cum += buckets[i];
-      os << pname << "_bucket"
-         << with_le(labels,
-                    trace_json_num(h.bucket_lo(
-                        static_cast<std::int64_t>(i) + 1)))
-         << " " << cum << "\n";
+      w.raw(family).raw("_bucket").raw(le_open);
+      if (i + 1 < buckets.size()) {
+        w.number(h.bucket_lo(static_cast<std::int64_t>(i) + 1));
+      } else {
+        w.raw("+Inf");
+      }
+      w.raw("\"} ").integer(cum).raw('\n');
     }
-    cum += buckets.back();
-    os << pname << "_bucket" << with_le(labels, "+Inf") << " " << cum
-       << "\n";
-    os << pname << "_sum" << labels << " " << trace_json_num(h.sum())
-       << "\n";
-    os << pname << "_count" << labels << " " << h.count() << "\n";
+    w.raw(family).raw("_sum").raw(labels).raw(' ').number(h.sum()).raw('\n');
+    w.raw(family).raw("_count").raw(labels).raw(' ').integer(h.count());
+    w.raw('\n');
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace rt3

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -61,7 +62,7 @@ void SloMonitor::transition(std::size_t rule_idx, bool breach,
   if (trace_ != nullptr) {
     TraceEvent ev(breach ? "slo.breach" : "slo.recover", "slo", now_ms, 0);
     ev.arg("rule", rule.name)
-        .arg("kind", std::string(slo_rule_kind_name(rule.kind)))
+        .arg("kind", slo_rule_kind_name(rule.kind))
         .arg("value", value);
     if (rule.kind == SloRuleKind::kMissBurn && breach) {
       ev.arg("misses", misses);
@@ -171,18 +172,19 @@ void SloMonitor::publish(MetricsRegistry& registry) const {
 }
 
 std::string SloMonitor::to_json() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < episodes_.size(); ++i) {
-    const SloEpisode& e = episodes_[i];
-    if (i > 0) out += ", ";
-    out += "{\"rule\": \"" + trace_json_escape(e.rule) + "\"";
-    out += ", \"start_ms\": " + trace_json_num(e.start_ms);
-    out += ", \"end_ms\": " + trace_json_num(e.end_ms);
-    out += ", \"trigger_value\": " + trace_json_num(e.trigger_value);
-    out += ", \"trigger_misses\": " + std::to_string(e.trigger_misses);
-    out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.raw('[');
+  const char* sep = "";
+  for (const SloEpisode& e : episodes_) {
+    w.raw(sep).raw("{\"rule\": ").string(e.rule);
+    w.raw(", \"start_ms\": ").number(e.start_ms);
+    w.raw(", \"end_ms\": ").number(e.end_ms);
+    w.raw(", \"trigger_value\": ").number(e.trigger_value);
+    w.raw(", \"trigger_misses\": ").integer(e.trigger_misses).raw('}');
+    sep = ", ";
   }
-  out += "]";
+  w.raw(']');
   return out;
 }
 

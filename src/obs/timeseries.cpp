@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/json_writer.hpp"
 #include "obs/trace.hpp"
 
 namespace rt3 {
@@ -61,52 +62,60 @@ void TelemetrySampler::on_batch(const BatchSample& sample) {
                        : 1.0;
   const double miss_frac = static_cast<double>(sample.misses) / n;
   const double mean_latency = sample.latency_sum_ms / n;
-  auto ewma_update = [alpha](std::map<std::int64_t, double>& m,
-                             std::int64_t id, double x) {
-    auto it = m.find(id);
-    if (it == m.end()) {
-      m.emplace(id, x);  // seed with the first observation (no zero bias)
-    } else {
-      it->second += alpha * (x - it->second);
-    }
-  };
-  ewma_update(miss_ewma_, sample.model_id, miss_frac);
-  ewma_update(latency_ewma_, sample.model_id, mean_latency);
+  ModelLane& m = lanes_[sample.model_id];
+  if (!m.seen) {
+    m.seen = true;
+    m.miss_ewma = miss_frac;
+    m.latency_ewma_ms = mean_latency;
+  } else {
+    m.miss_ewma += alpha * (miss_frac - m.miss_ewma);
+    m.latency_ewma_ms += alpha * (mean_latency - m.latency_ewma_ms);
+  }
 
   const std::int64_t k = batches_++;
   now_ms_ = sample.end_ms;
   if (k % config_.sample_every_batches != 0) return;
 
+  NodeSeries& node = node_series_;
+  if (node.battery_fraction == nullptr) {
+    node.battery_fraction = &series_for("node.battery_fraction", 0);
+    node.level = &series_for("node.level", 0);
+    node.queue_depth = &series_for("node.queue_depth", 0);
+    node.unroutable = &series_for("node.unroutable", 0);
+  }
+  ModelSeries& ms = m.series;
+  if (ms.queue_depth == nullptr) {
+    const std::int64_t lane = sample.model_id + 1;
+    std::string p = "m";
+    p += std::to_string(sample.model_id);
+    ms.queue_depth = &series_for(p + ".queue_depth", lane);
+    ms.batch_size = &series_for(p + ".batch_size", lane);
+    ms.energy_mj = &series_for(p + ".energy_mj", lane);
+    ms.miss_ewma = &series_for(p + ".miss_ewma", lane);
+    ms.latency_ewma_ms = &series_for(p + ".latency_ewma_ms", lane);
+    ms.shed = &series_for(p + ".shed", lane);
+    ms.rejected = &series_for(p + ".rejected", lane);
+  }
   const double t = sample.end_ms;
-  const std::int64_t lane = sample.model_id + 1;
-  const std::string m = "m" + std::to_string(sample.model_id);
-  series_for("node.battery_fraction", 0).record(t, sample.battery_fraction);
-  series_for("node.level", 0)
-      .record(t, static_cast<double>(sample.level_pos));
-  series_for("node.queue_depth", 0)
-      .record(t, static_cast<double>(sample.node_queue_depth));
-  series_for("node.unroutable", 0)
-      .record(t, static_cast<double>(unroutable_));
-  series_for(m + ".queue_depth", lane)
-      .record(t, static_cast<double>(sample.queue_depth));
-  series_for(m + ".batch_size", lane)
-      .record(t, static_cast<double>(sample.batch_size));
-  series_for(m + ".energy_mj", lane).record(t, sample.energy_mj);
-  series_for(m + ".miss_ewma", lane).record(t, miss_ewma_[sample.model_id]);
-  series_for(m + ".latency_ewma_ms", lane)
-      .record(t, latency_ewma_[sample.model_id]);
-  series_for(m + ".shed", lane)
-      .record(t, static_cast<double>(shed_[sample.model_id]));
-  series_for(m + ".rejected", lane)
-      .record(t, static_cast<double>(rejected_[sample.model_id]));
+  node.battery_fraction->record(t, sample.battery_fraction);
+  node.level->record(t, static_cast<double>(sample.level_pos));
+  node.queue_depth->record(t, static_cast<double>(sample.node_queue_depth));
+  node.unroutable->record(t, static_cast<double>(unroutable_));
+  ms.queue_depth->record(t, static_cast<double>(sample.queue_depth));
+  ms.batch_size->record(t, static_cast<double>(sample.batch_size));
+  ms.energy_mj->record(t, sample.energy_mj);
+  ms.miss_ewma->record(t, m.miss_ewma);
+  ms.latency_ewma_ms->record(t, m.latency_ewma_ms);
+  ms.shed->record(t, static_cast<double>(m.shed));
+  ms.rejected->record(t, static_cast<double>(m.rejected));
 }
 
 void TelemetrySampler::count_shed(std::int64_t model_id, std::int64_t n) {
-  shed_[model_id] += n;
+  lanes_[model_id].shed += n;
 }
 
 void TelemetrySampler::count_reject(std::int64_t model_id, std::int64_t n) {
-  rejected_[model_id] += n;
+  lanes_[model_id].rejected += n;
 }
 
 void TelemetrySampler::count_unroutable(std::int64_t n) {
@@ -122,13 +131,13 @@ void TelemetrySampler::record_swap_bytes(double bytes) {
 }
 
 double TelemetrySampler::miss_ewma(std::int64_t model_id) const {
-  auto it = miss_ewma_.find(model_id);
-  return it == miss_ewma_.end() ? 0.0 : it->second;
+  auto it = lanes_.find(model_id);
+  return it == lanes_.end() ? 0.0 : it->second.miss_ewma;
 }
 
 double TelemetrySampler::latency_ewma_ms(std::int64_t model_id) const {
-  auto it = latency_ewma_.find(model_id);
-  return it == latency_ewma_.end() ? 0.0 : it->second;
+  auto it = lanes_.find(model_id);
+  return it == lanes_.end() ? 0.0 : it->second.latency_ewma_ms;
 }
 
 std::int64_t TelemetrySampler::num_points() const {
@@ -157,37 +166,32 @@ void TelemetrySampler::export_counters(TraceRecorder& trace) const {
 
 std::string TelemetrySampler::to_json() const {
   std::string out;
-  out += "{\"sample_every\": ";
-  out += std::to_string(config_.sample_every_batches);
-  out += ", \"capacity\": ";
-  out += std::to_string(config_.series_capacity);
-  out += ", \"batches\": ";
-  out += std::to_string(batches_);
-  out += ", \"series\": {";
-  bool first = true;
+  out.reserve(256 + static_cast<std::size_t>(num_points()) * 48);
+  JsonWriter w(out);
+  const auto write_array = [&w](const std::vector<double>& xs) {
+    const char* comma = "";
+    for (const double x : xs) {
+      w.raw(comma).number(x);
+      comma = ", ";
+    }
+  };
+  w.raw("{\"sample_every\": ").integer(config_.sample_every_batches);
+  w.raw(", \"capacity\": ").integer(config_.series_capacity);
+  w.raw(", \"batches\": ").integer(batches_).raw(", \"series\": {");
+  const char* sep = "";
   for (const auto& [name, entry] : series_) {
-    if (!first) out += ", ";
-    first = false;
     const TimeSeries& ts = entry.ts;
-    out += "\"" + trace_json_escape(name) + "\": {\"lane\": ";
-    out += std::to_string(entry.lane);
-    out += ", \"stride\": ";
-    out += std::to_string(ts.stride());
-    out += ", \"offered\": ";
-    out += std::to_string(ts.offered());
-    out += ", \"t\": [";
-    for (std::int64_t i = 0; i < ts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += trace_json_num(ts.times()[static_cast<std::size_t>(i)]);
-    }
-    out += "], \"v\": [";
-    for (std::int64_t i = 0; i < ts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += trace_json_num(ts.values()[static_cast<std::size_t>(i)]);
-    }
-    out += "]}";
+    w.raw(sep).string(name).raw(": {\"lane\": ").integer(entry.lane);
+    w.raw(", \"stride\": ").integer(ts.stride());
+    w.raw(", \"offered\": ").integer(ts.offered());
+    w.raw(", \"t\": [");
+    write_array(ts.times());
+    w.raw("], \"v\": [");
+    write_array(ts.values());
+    w.raw("]}");
+    sep = ", ";
   }
-  out += "}}";
+  w.raw("}}");
   return out;
 }
 

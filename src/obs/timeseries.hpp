@@ -99,6 +99,9 @@ struct BatchSample {
 class TelemetrySampler {
  public:
   explicit TelemetrySampler(TelemetryConfig config = {});
+  // Each model lane holds handles into series_: a copy would alias them.
+  TelemetrySampler(const TelemetrySampler&) = delete;
+  TelemetrySampler& operator=(const TelemetrySampler&) = delete;
 
   /// Publishes the driver loop's virtual clock for instrumentation sites
   /// without clock access (the ReconfigEngine's swap-size record).
@@ -153,15 +156,42 @@ class TelemetrySampler {
         : ts(capacity), lane(lane) {}
   };
 
+  /// A model's series handles.  They are resolved by name once, at the
+  /// model's first sampled batch, and point into series_ (map nodes never
+  /// move), so on_batch does no string work.
+  struct ModelSeries {
+    TimeSeries* queue_depth = nullptr;
+    TimeSeries* batch_size = nullptr;
+    TimeSeries* energy_mj = nullptr;
+    TimeSeries* miss_ewma = nullptr;
+    TimeSeries* latency_ewma_ms = nullptr;
+    TimeSeries* shed = nullptr;
+    TimeSeries* rejected = nullptr;
+  };
+  struct ModelLane {
+    /// EWMAs are seeded by the first batch (no zero bias).
+    bool seen = false;
+    double miss_ewma = 0.0;
+    double latency_ewma_ms = 0.0;
+    std::int64_t shed = 0;
+    std::int64_t rejected = 0;
+    ModelSeries series;
+  };
+  /// The node lane's (lane 0) series handles, resolved like ModelSeries.
+  struct NodeSeries {
+    TimeSeries* battery_fraction = nullptr;
+    TimeSeries* level = nullptr;
+    TimeSeries* queue_depth = nullptr;
+    TimeSeries* unroutable = nullptr;
+  };
+
   TelemetryConfig config_;
   double now_ms_ = 0.0;
   std::int64_t batches_ = 0;
   /// Name -> series; std::map so every export walks in canonical order.
   std::map<std::string, Entry> series_;
-  std::map<std::int64_t, double> miss_ewma_;
-  std::map<std::int64_t, double> latency_ewma_;
-  std::map<std::int64_t, std::int64_t> shed_;
-  std::map<std::int64_t, std::int64_t> rejected_;
+  std::map<std::int64_t, ModelLane> lanes_;
+  NodeSeries node_series_;
   std::int64_t unroutable_ = 0;
 };
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "obs/json_writer.hpp"
 
 namespace rt3 {
 
@@ -18,55 +17,68 @@ std::uint64_t next_recorder_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Appends one event's Chrome JSON object.
+void write_event(JsonWriter& w, const TraceEvent& e) {
+  w.raw("  {\"name\": ").string(e.name).raw(", \"cat\": ").string(e.cat);
+  w.raw(", \"ph\": \"").raw(e.ph).raw("\", \"ts\": ").number(e.ts_ms * 1000.0);
+  w.raw(", \"pid\": 1, \"tid\": ").integer(e.tid);
+  if (e.ph == 'X') {
+    w.raw(", \"dur\": ").number(e.dur_ms * 1000.0);
+  }
+  if (e.ph == 'i') {
+    w.raw(", \"s\": \"t\"");  // instant scope: thread
+  }
+  if (e.id >= 0 || e.num_args > 0) {
+    w.raw(", \"args\": {");
+    const char* sep = "";
+    if (e.id >= 0) {
+      w.raw("\"id\": ").integer(e.id);
+      sep = ", ";
+    }
+    for (std::size_t k = 0; k < e.num_args; ++k) {
+      const TraceArg& a = e.args[k];
+      w.raw(sep).string(a.key).raw(": ");
+      sep = ", ";
+      switch (a.kind) {
+        case TraceArg::Kind::kDouble:
+          w.number(a.d);
+          break;
+        case TraceArg::Kind::kInt:
+          w.integer(a.i);
+          break;
+        case TraceArg::Kind::kString: {
+          const std::string_view text(e.arg_text);
+          w.string(text.substr(static_cast<std::size_t>(a.i), a.len));
+          break;
+        }
+      }
+    }
+    w.raw('}');
+  }
+  w.raw('}');
+}
+
 }  // namespace
 
-std::string trace_json_escape(const std::string& s) {
+std::string trace_json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
+  JsonWriter(out).escaped(s);
   return out;
 }
 
 std::string trace_json_num(double value) {
-  // %.17g is the repo-wide float wire format (see tuner/governor
-  // artifacts): 17 significant digits round-trip every double exactly,
-  // where the former precision(15) rendering silently lost the low bits.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string out;
+  JsonWriter(out).number(value);
+  return out;
 }
 
-TraceEvent& TraceEvent::arg(const std::string& key, double value) {
-  args.emplace_back(key, trace_json_num(value));
-  return *this;
-}
-
-TraceEvent& TraceEvent::arg(const std::string& key, std::int64_t value) {
-  args.emplace_back(key, std::to_string(value));
-  return *this;
-}
-
-TraceEvent& TraceEvent::arg(const std::string& key,
-                            const std::string& value) {
-  args.emplace_back(key, "\"" + trace_json_escape(value) + "\"");
-  return *this;
+TraceArg& TraceEvent::push_arg(const char* key, TraceArg::Kind kind) {
+  check(num_args < kMaxArgs, "TraceEvent: more than kMaxArgs args");
+  TraceArg& a = args[num_args++];
+  a.key = key;
+  a.kind = kind;
+  return a;
 }
 
 TraceRecorder::TraceRecorder(bool record_wall)
@@ -100,20 +112,36 @@ void TraceRecorder::record(TraceEvent event) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  local_buffer()->events.push_back(std::move(event));
+  local_buffer()->push(std::move(event));
 }
 
-std::vector<TraceEvent> TraceRecorder::merged() const {
+void TraceRecorder::Buffer::push(TraceEvent&& event) {
+  if (size % kChunk == 0) {
+    chunks.emplace_back().reserve(kChunk);
+  }
+  chunks.back().push_back(std::move(event));
+  ++size;
+}
+
+std::vector<const TraceEvent*> TraceRecorder::sorted_events() const {
+  // The two leading sort keys ride inline, so most comparisons never
+  // touch the events themselves.
   struct Keyed {
+    double ts_ms;
+    std::int64_t tid;
     const TraceEvent* event;
     std::size_t seq;  // per-thread append order, the last tie-break
   };
   std::vector<Keyed> keyed;
   {
     MutexLock lock(mu_);
+    std::size_t n = 0;
+    for (const auto& buffer : buffers_) n += buffer->size;
+    keyed.reserve(n);
     for (const auto& buffer : buffers_) {
-      for (std::size_t i = 0; i < buffer->events.size(); ++i) {
-        keyed.push_back({&buffer->events[i], i});
+      for (std::size_t i = 0; i < buffer->size; ++i) {
+        const TraceEvent& e = (*buffer)[i];
+        keyed.push_back({e.ts_ms, e.tid, &e, i});
       }
     }
   }
@@ -122,14 +150,14 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
   // registration order.
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const Keyed& a, const Keyed& b) {
+                     if (a.ts_ms != b.ts_ms) {
+                       return a.ts_ms < b.ts_ms;
+                     }
+                     if (a.tid != b.tid) {
+                       return a.tid < b.tid;
+                     }
                      const TraceEvent& x = *a.event;
                      const TraceEvent& y = *b.event;
-                     if (x.ts_ms != y.ts_ms) {
-                       return x.ts_ms < y.ts_ms;
-                     }
-                     if (x.tid != y.tid) {
-                       return x.tid < y.tid;
-                     }
                      if (x.cat != y.cat) {
                        return x.cat < y.cat;
                      }
@@ -141,10 +169,20 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
                      }
                      return a.seq < b.seq;
                    });
-  std::vector<TraceEvent> out;
+  std::vector<const TraceEvent*> out;
   out.reserve(keyed.size());
   for (const Keyed& k : keyed) {
-    out.push_back(*k.event);
+    out.push_back(k.event);
+  }
+  return out;
+}
+
+std::vector<TraceEvent> TraceRecorder::merged() const {
+  const std::vector<const TraceEvent*> events = sorted_events();
+  std::vector<TraceEvent> out;
+  out.reserve(events.size());
+  for (const TraceEvent* e : events) {
+    out.push_back(*e);
   }
   return out;
 }
@@ -153,66 +191,50 @@ std::int64_t TraceRecorder::num_events() const {
   MutexLock lock(mu_);
   std::int64_t n = 0;
   for (const auto& buffer : buffers_) {
-    n += static_cast<std::int64_t>(buffer->events.size());
+    n += static_cast<std::int64_t>(buffer->size);
   }
   return n;
 }
 
 std::string TraceRecorder::to_chrome_json() const {
-  const std::vector<TraceEvent> events = merged();
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
+  const std::vector<const TraceEvent*> events = sorted_events();
+  std::string out;
+  // ~190 bytes per serving event; one up-front reservation instead of
+  // log2(size) regrowth copies of a multi-megabyte buffer.
+  out.reserve(256 + events.size() * 192);
+  JsonWriter w(out);
+  w.raw("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
   // Metadata: name every track so Perfetto shows lanes, not bare tids.
   std::vector<std::int64_t> tids;
-  for (const TraceEvent& e : events) {
-    if (std::find(tids.begin(), tids.end(), e.tid) == tids.end()) {
-      tids.push_back(e.tid);
+  for (const TraceEvent* e : events) {
+    if (std::find(tids.begin(), tids.end(), e->tid) == tids.end()) {
+      tids.push_back(e->tid);
     }
   }
   std::sort(tids.begin(), tids.end());
+  const char* sep = "";
   for (const std::int64_t tid : tids) {
-    const std::string lane =
-        tid == 0 ? "node: governor + battery"
-                 : "model " + std::to_string(tid - 1);
-    os << (first ? "" : ",\n") << "  {\"name\": \"thread_name\", \"ph\": "
-       << "\"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"args\": {\"name\": \"" << lane << "\"}}";
-    first = false;
+    w.raw(sep).raw("  {\"name\": \"thread_name\", \"ph\": \"M\", ");
+    w.raw("\"pid\": 1, \"tid\": ").integer(tid);
+    w.raw(", \"args\": {\"name\": \"");
+    if (tid == 0) {
+      w.raw("node: governor + battery");
+    } else {
+      w.raw("model ").integer(tid - 1);
+    }
+    w.raw("\"}}");
+    sep = ",\n";
   }
-  for (const TraceEvent& e : events) {
-    os << (first ? "" : ",\n") << "  {\"name\": \"" << trace_json_escape(e.name)
-       << "\", \"cat\": \"" << trace_json_escape(e.cat) << "\", \"ph\": \""
-       << e.ph << "\", \"ts\": " << trace_json_num(e.ts_ms * 1000.0)
-       << ", \"pid\": 1, \"tid\": " << e.tid;
-    if (e.ph == 'X') {
-      os << ", \"dur\": " << trace_json_num(e.dur_ms * 1000.0);
-    }
-    if (e.ph == 'i') {
-      os << ", \"s\": \"t\"";  // instant scope: thread
-    }
-    if (e.id >= 0 || !e.args.empty()) {
-      os << ", \"args\": {";
-      bool first_arg = true;
-      if (e.id >= 0) {
-        os << "\"id\": " << e.id;
-        first_arg = false;
-      }
-      for (const auto& [key, value] : e.args) {
-        os << (first_arg ? "" : ", ") << "\"" << trace_json_escape(key)
-           << "\": " << value;
-        first_arg = false;
-      }
-      os << "}";
-    }
-    os << "}";
-    first = false;
+  for (const TraceEvent* e : events) {
+    w.raw(sep);
+    write_event(w, *e);
+    sep = ",\n";
   }
   // Footer: how complete this trace is.  Extra top-level keys are legal
   // in the JSON-object trace format and ignored by Perfetto.
-  os << "\n], \"rt3\": {\"max_events\": " << config_.max_events
-     << ", \"dropped_events\": " << dropped_events() << "}}\n";
-  return os.str();
+  w.raw("\n], \"rt3\": {\"max_events\": ").integer(config_.max_events);
+  w.raw(", \"dropped_events\": ").integer(dropped_events()).raw("}}\n");
+  return out;
 }
 
 void TraceRecorder::write_chrome_json(const std::string& path) const {

@@ -21,13 +21,18 @@
 // guarded by a single `if (trace_ != nullptr)` branch — perfectly
 // predicted when tracing is off — and the trace-off serving results are
 // bitwise-identical to an uninstrumented build (proven by the
-// observability cell in bench_serve_traffic).
+// observability cell in bench_serve_traffic).  With tracing on, record()
+// stores typed args in chunked per-thread buffers (nothing is rendered
+// until export), and export sorts a pointer index over those buffers
+// rather than copying events.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,9 +42,29 @@
 
 namespace rt3 {
 
-/// One Chrome trace-event.  `args` values are pre-rendered JSON fragments
-/// (use TraceEvent::arg overloads), so export is a flat string walk.
+/// One typed trace-event argument.  Values stay binary until export, so
+/// recording an event renders nothing.
+struct TraceArg {
+  enum class Kind : std::uint8_t { kDouble, kInt, kString };
+  /// A string literal: keys are fixed at every instrumentation site, so
+  /// they are referenced, never copied.
+  const char* key = nullptr;
+  Kind kind = Kind::kInt;
+  /// kString: the value is TraceEvent::arg_text[i, i + len).
+  std::uint32_t len = 0;
+  union {
+    double d;
+    std::int64_t i = 0;
+  };
+};
+
+/// One Chrome trace-event.  Fixed-name events stay off the heap: name and
+/// cat fit the std::string small buffer, args live inline, and only string
+/// arg values are copied (into `arg_text`).
 struct TraceEvent {
+  /// Inline arg capacity; the widest event (a request span) carries 5.
+  static constexpr std::size_t kMaxArgs = 6;
+
   std::string name;
   /// Event category ("request", "batch", "governor", "kernel", ...).
   std::string cat;
@@ -52,8 +77,11 @@ struct TraceEvent {
   std::int64_t tid = 0;
   /// Request id for lifecycle events (-1 when not request-scoped).
   std::int64_t id = -1;
-  /// (key, rendered-JSON-value) pairs, emitted in insertion order.
-  std::vector<std::pair<std::string, std::string>> args;
+  /// Args, emitted in insertion order.
+  std::array<TraceArg, kMaxArgs> args{};
+  std::uint8_t num_args = 0;
+  /// Backing store of the string-valued args.
+  std::string arg_text;
 
   TraceEvent() = default;
   /// Instant at `ts_ms` on track `tid`; set ph/dur_ms after construction
@@ -62,16 +90,34 @@ struct TraceEvent {
              std::int64_t tid)
       : name(std::move(name)), cat(std::move(cat)), ts_ms(ts_ms), tid(tid) {}
 
-  TraceEvent& arg(const std::string& key, double value);
-  TraceEvent& arg(const std::string& key, std::int64_t value);
-  TraceEvent& arg(const std::string& key, const std::string& value);
+  /// `key` must be a string literal (static storage; see TraceArg::key).
+  template <std::size_t N>
+  TraceEvent& arg(const char (&key)[N], double value) {
+    push_arg(key, TraceArg::Kind::kDouble).d = value;
+    return *this;
+  }
+  template <std::size_t N>
+  TraceEvent& arg(const char (&key)[N], std::int64_t value) {
+    push_arg(key, TraceArg::Kind::kInt).i = value;
+    return *this;
+  }
+  template <std::size_t N>
+  TraceEvent& arg(const char (&key)[N], std::string_view value) {
+    TraceArg& a = push_arg(key, TraceArg::Kind::kString);
+    a.i = static_cast<std::int64_t>(arg_text.size());
+    a.len = static_cast<std::uint32_t>(value.size());
+    arg_text.append(value);
+    return *this;
+  }
+
+ private:
+  TraceArg& push_arg(const char* key, TraceArg::Kind kind);
 };
 
-/// Renders a double as a JSON number with round-trip precision.
+/// Renders a double as a JSON number with round-trip precision (%.17g).
 std::string trace_json_num(double value);
-/// JSON string-escapes `s` (quotes, backslashes, newlines, tabs) — shared
-/// by the trace and metrics exporters.
-std::string trace_json_escape(const std::string& s);
+/// JSON string-escapes `s` (quotes, backslashes, newlines, tabs).
+std::string trace_json_escape(std::string_view s);
 
 struct TraceConfig {
   /// Record nondeterministic host wall-clock args on events.
@@ -113,21 +159,34 @@ class TraceRecorder {
   /// record_wall() is true).
   double wall_since_start_ms() const { return wall_ms_since(t0_); }
 
-  /// All events merged across thread buffers in canonical order:
-  /// (ts, tid, cat, name, id, per-thread sequence).
+  /// Copies of all events merged across thread buffers in canonical
+  /// order: (ts, tid, cat, name, id, per-thread sequence).
   std::vector<TraceEvent> merged() const RT3_EXCLUDES(mu_);
   std::int64_t num_events() const RT3_EXCLUDES(mu_);
 
   /// {"traceEvents": [...], "displayTimeUnit": "ms"} with one metadata
-  /// thread_name event per track, loadable in Perfetto.
+  /// thread_name event per track, loadable in Perfetto.  Walks the
+  /// buffers through a sorted pointer index; no event is copied.
   std::string to_chrome_json() const;
   void write_chrome_json(const std::string& path) const;
 
  private:
+  /// One thread's events in fixed-size chunks: an append never moves a
+  /// stored event (no regrowth copies, no doubled peak), and a chunk is
+  /// small enough for the allocator to recycle across sessions.
   struct Buffer {
-    std::vector<TraceEvent> events;
+    static constexpr std::size_t kChunk = 2048;
+    std::vector<std::vector<TraceEvent>> chunks;
+    std::size_t size = 0;
+
+    void push(TraceEvent&& event);
+    const TraceEvent& operator[](std::size_t i) const {
+      return chunks[i / kChunk][i % kChunk];
+    }
   };
   Buffer* local_buffer() RT3_EXCLUDES(mu_);
+  /// Pointers to every stored event in canonical merge order.
+  std::vector<const TraceEvent*> sorted_events() const RT3_EXCLUDES(mu_);
 
   /// Distinguishes recorders in the thread-local buffer cache (a new
   /// recorder at a recycled address must not alias a dead one's cache

@@ -4,13 +4,19 @@
 // registry, and stats JSON round-trips.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "obs/attribution.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -992,6 +998,157 @@ TEST(Metrics, HistogramTopBucketSaturates) {
   h.observe(std::numeric_limits<double>::infinity());
   EXPECT_EQ(h.buckets().back(), 3);
   EXPECT_EQ(h.count(), 3);
+}
+
+// ---------------------------------------------------------------------
+// JsonWriter: the one number/string writer behind every obs export
+
+std::string printf_17g(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", x);
+  return buf;
+}
+
+std::string writer_number(double x) {
+  std::string out;
+  JsonWriter(out).number(x);
+  return out;
+}
+
+TEST(JsonWriter, NumberMatchesPrintf17gOnEdgeValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> edges = {
+      0.0,    -0.0,     5e-324,  -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+      1e21,   1e-7,     0.1,     1.0,     -1.0,    42.0,    123456789.0,
+      1e17,   9007199254740993.0, 1e-5, 1e16, 0.30000000000000004,
+      inf,    -inf};
+  for (const double x : edges) {
+    EXPECT_EQ(writer_number(x), printf_17g(x)) << "value " << printf_17g(x);
+    EXPECT_EQ(trace_json_num(x), printf_17g(x));
+  }
+  EXPECT_EQ(writer_number(-0.0), "-0");
+  EXPECT_EQ(writer_number(0.1), "0.10000000000000001");
+  EXPECT_EQ(writer_number(inf), "inf");
+}
+
+TEST(JsonWriter, NumberMatchesPrintf17gOnRandomBitPatterns) {
+  Rng rng(20211205);
+  for (int i = 0; i < 200'000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double x;
+    std::memcpy(&x, &bits, sizeof(x));
+    if (x != x) continue;  // NaN payload/sign rendering is not pinned
+    ASSERT_EQ(writer_number(x), printf_17g(x)) << "bits " << bits;
+  }
+}
+
+TEST(JsonWriter, IntegersAndEscapes) {
+  std::string out;
+  JsonWriter w(out);
+  w.integer(0).raw(' ').integer(-42).raw(' ').integer(
+      std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(out, "0 -42 -9223372036854775808");
+
+  const std::string nasty = "a\"b\\c\nd\te";
+  out.clear();
+  w.escaped(nasty);
+  EXPECT_EQ(out, "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(out, trace_json_escape(nasty));
+  out.clear();
+  w.string("plain");
+  EXPECT_EQ(out, "\"plain\"");
+  EXPECT_EQ(trace_json_escape(""), "");
+}
+
+// ---------------------------------------------------------------------
+// Pinned dumps: the trace, telemetry and SLO exports of one seeded
+// 3-model node session, fixed by FNV-1a hash and byte length.  Any change
+// to the exporters' bytes (number format, escaping, event order, series
+// order) breaks these.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(ObsDumps, SeededNodeSessionBytesArePinned) {
+  ServeSessionConfig cfg;
+  cfg.scheduler.policy = SchedulingPolicy::kEdfPriority;
+  cfg.shed_expired = true;
+  cfg.admit_feasible = true;
+  cfg.governor_margin = 0.05;
+  // Sized so the battery walks the ladder and dies near the end: the
+  // dumps carry switches, sheds, misses, SLO episodes and battery.dead.
+  cfg.battery_capacity_mj = 5e4;
+  NodeSession session(cfg, 3);
+  TrafficConfig t;
+  t.scenario = TrafficScenario::kBurst;
+  t.rate_rps = 5.0;
+  t.duration_ms = 300'000.0;
+  t.deadline_slack_ms = 1'000.0;
+  t.tight_fraction = 0.3;
+  t.tight_slack_ms = 350.0;
+  t.seed = 14;
+  t.priority_classes = 3;
+  t.num_models = 3;
+  TraceRecorder trace(/*record_wall=*/false);
+  TelemetrySampler telemetry;
+  SloMonitor slo(SloMonitor::default_rules());
+  session.node().set_trace(&trace);
+  session.node().set_telemetry(&telemetry);
+  session.node().set_slo(&slo);
+  const NodeStats stats = session.node().serve(generate_traffic(t));
+  ASSERT_GT(stats.shed, 0);
+  ASSERT_GT(stats.dropped, 0);
+  ASSERT_GT(stats.switches, 0);
+  ASSERT_GT(slo.breaches(), 0);
+  telemetry.export_counters(trace);
+
+  const std::string trace_json = trace.to_chrome_json();
+  const std::string telemetry_json = telemetry.to_json();
+  const std::string slo_json = slo.to_json();
+  EXPECT_EQ(trace.num_events(), 13191);
+  EXPECT_EQ(trace_json.size(), 2080773U);
+  EXPECT_EQ(fnv1a(trace_json), 0x94662f24a06a679bULL);
+  EXPECT_EQ(telemetry_json.size(), 221293U);
+  EXPECT_EQ(fnv1a(telemetry_json), 0xda8ce92bc572a483ULL);
+  EXPECT_EQ(slo_json.size(), 1300U);
+  EXPECT_EQ(fnv1a(slo_json), 0x8f2686e1da4307f3ULL);
+  // merged() (the copying view tests use) agrees with the export order.
+  const std::vector<TraceEvent> merged = trace.merged();
+  ASSERT_EQ(static_cast<std::int64_t>(merged.size()), trace.num_events());
+  for (std::size_t i = 1; i < merged.size(); ++i) {
+    ASSERT_LE(merged[i - 1].ts_ms, merged[i].ts_ms);
+  }
+}
+
+TEST(Trace, TypedArgsRenderAtExport) {
+  TraceRecorder trace(/*record_wall=*/false);
+  TraceEvent ev("e", "c", 1.5, 2);
+  ev.id = 9;
+  const std::string rule = "r\"1";
+  ev.arg("d", 0.1).arg("i", std::int64_t{-3}).arg("s", rule).arg("t",
+                                                                  "x\ty");
+  trace.record(std::move(ev));
+  const std::string json = trace.to_chrome_json();
+  EXPECT_NE(json.find("\"ts\": 1500, \"pid\": 1, \"tid\": 2, \"s\": \"t\", "
+                      "\"args\": {\"id\": 9, \"d\": 0.10000000000000001, "
+                      "\"i\": -3, \"s\": \"r\\\"1\", \"t\": \"x\\ty\"}}"),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(JsonChecker(json).valid());
+}
+
+TEST(Trace, ArgCapacityIsChecked) {
+  TraceEvent ev("e", "c", 0.0, 0);
+  for (std::size_t k = 0; k < TraceEvent::kMaxArgs; ++k) {
+    ev.arg("k", std::int64_t{1});
+  }
+  EXPECT_THROW(ev.arg("k", std::int64_t{1}), CheckError);
 }
 
 }  // namespace

@@ -31,10 +31,15 @@ Rules (run with --list-rules for the one-liners):
                 that the container is lookup-only and never iterated into
                 output, serialization, or scheduling.
   float-format  In serializer TUs (to_json/to_chrome_json/to_prometheus/
-                serialize): any printf float conversion that is not
-                %.17g, or stream precision set to anything but 17.
-                17 significant digits round-trip a double exactly; less
-                silently truncates artifacts that must byte-round-trip.
+                serialize, or any use of JsonWriter): any printf float
+                conversion that is not %.17g, stream precision set to
+                anything but 17, or a std::to_chars call that is not
+                (first, last, value, chars_format::general, 17) or an
+                integer conversion with an explicit base.  17 significant
+                digits round-trip a double exactly; less silently
+                truncates artifacts that must byte-round-trip, and the
+                shortest round-trip form (3-argument to_chars) is a
+                different wire format from %.17g.
   raw-parallel  #pragma omp anywhere; thread_local anywhere without an
                 inline allow; std::thread construction in src/ outside
                 the ThreadPool/concurrent-harness files.  Parallelism in
@@ -182,10 +187,51 @@ STD_THREAD_EXEMPT = (
 )
 
 SERIALIZER_MARKERS = re.compile(
-    r"\bto_json\b|\bto_chrome_json\b|\bto_prometheus\b|\bserialize\b")
+    r"\bto_json\b|\bto_chrome_json\b|\bto_prometheus\b|\bserialize\b|"
+    r"\bJsonWriter\b")
 PRINTF_FLOAT = re.compile(r"%[-+ #0-9.*]*[aAeEfFgG]")
 PRECISION_CALL = re.compile(
     r"(?:\.\s*precision|\bsetprecision)\s*\(\s*(\d+)\s*\)")
+TO_CHARS_CALL = re.compile(r"\bto_chars\s*\(")
+
+
+def call_arguments(text, open_paren):
+    """Top-level comma-separated arguments of the call whose '(' is at
+    `open_paren` in comment/string-stripped `text` (whitespace-collapsed),
+    or None when the parentheses never close."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                return [" ".join(a.split()) for a in args]
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return None
+
+
+def to_chars_problem(args):
+    """Why a to_chars argument list breaks the %.17g wire format, or None.
+    5 args: must be (..., chars_format::general, 17).  4 args: an integer
+    base is fine, a bare chars_format is the shortest form in that
+    format.  3 args: the shortest round-trip form of a floating value
+    (an integer conversion passes its base explicitly)."""
+    if len(args) == 5:
+        if re.search(r"\bchars_format\s*::\s*general$", args[3]) is None:
+            return f"format {args[3]}"
+        if args[4] != "17":
+            return f"precision {args[4]}"
+        return None
+    if len(args) == 4:
+        if "chars_format" in args[3]:
+            return f"shortest form in {args[3]}"
+        return None
+    return "shortest round-trip form (no chars_format/precision)"
 
 ALLOW_RE = re.compile(
     r"rt3-lint:\s*allow\(\s*([a-zA-Z-]+(?:\s*,\s*[a-zA-Z-]+)*)\s*\)\s*(.*)")
@@ -346,6 +392,18 @@ def scan_file(root, rel_path, only_rule=None):
                         emit(ln, name,
                              rule["message"] +
                              f" (found precision {m.group(1)})", raw)
+            # to_chars calls may span lines: parse them on the whole
+            # stripped text, report at the line of the call.
+            stripped = "\n".join(stripped_lines)
+            for m in TO_CHARS_CALL.finditer(stripped):
+                args = call_arguments(stripped, m.end() - 1)
+                problem = ("unterminated call" if args is None
+                           else to_chars_problem(args))
+                if problem is not None:
+                    ln = stripped.count("\n", 0, m.start()) + 1
+                    emit(ln, name,
+                         rule["message"] + f" (found to_chars {problem})",
+                         raw_lines[ln - 1])
             continue
         pattern = rule["pattern"]
         for ln, line in enumerate(stripped_lines, start=1):

@@ -188,6 +188,71 @@ class TestFloatFormat(LintFixture):
             "return b; }\n")
 
 
+    def test_to_chars_general_17_clean(self):
+        self.assert_clean(
+            "src/a.cpp",
+            "std::string to_json() { char b[32]; auto r = std::to_chars(\n"
+            "    b, b + 32, x, std::chars_format::general, 17);\n"
+            "  return std::string(b, r.ptr); }\n")
+
+    def test_to_chars_integer_base_clean(self):
+        self.assert_clean(
+            "src/a.cpp",
+            "std::string to_json() { char b[24]; "
+            "std::to_chars(b, b + 24, n, 10); return b; }\n")
+
+    def test_to_chars_shortest_form_fires(self):
+        found = self.assert_fires(
+            "float-format", "src/a.cpp",
+            "std::string to_json() { char b[32]; "
+            "std::to_chars(b, b + 32, x); return b; }\n")
+        self.assertIn("shortest round-trip form", found[0]["message"])
+
+    def test_to_chars_shortest_in_format_fires(self):
+        found = self.assert_fires(
+            "float-format", "src/a.cpp",
+            "std::string to_json() { char b[32]; "
+            "std::to_chars(b, b + 32, x, std::chars_format::general); "
+            "return b; }\n")
+        self.assertIn("shortest form", found[0]["message"])
+
+    def test_to_chars_other_precision_fires(self):
+        found = self.assert_fires(
+            "float-format", "src/a.cpp",
+            "std::string to_json() { char b[32]; "
+            "std::to_chars(b, b + 32, x, std::chars_format::general, 15); "
+            "return b; }\n")
+        self.assertIn("precision 15", found[0]["message"])
+
+    def test_to_chars_other_format_fires(self):
+        found = self.assert_fires(
+            "float-format", "src/a.cpp",
+            "std::string to_json() { char b[32]; "
+            "std::to_chars(b, b + 32, x, std::chars_format::fixed, 17); "
+            "return b; }\n")
+        self.assertIn("chars_format::fixed", found[0]["message"])
+
+    def test_to_chars_reported_at_call_line(self):
+        found = self.assert_fires(
+            "float-format", "src/a.cpp",
+            "std::string to_json() {\n  char b[32];\n"
+            "  std::to_chars(b, b + 32,\n      x);\n  return b;\n}\n")
+        self.assertEqual(found[0]["line"], 3)
+
+    def test_json_writer_tu_is_a_serializer(self):
+        # The writer's own TU carries no to_json marker; using JsonWriter
+        # is what puts its number formatting under the rule.
+        self.assert_fires(
+            "float-format", "src/obs/w.cpp",
+            "JsonWriter& JsonWriter::number(double v) { char b[32]; "
+            "std::to_chars(b, b + 32, v); return *this; }\n")
+
+    def test_to_chars_outside_serializer_ignored(self):
+        self.assert_clean("src/a.cpp",
+                          "void f() { std::to_chars(b, e, x); }\n",
+                          only_rule="float-format")
+
+
 class TestRawParallel(LintFixture):
     def test_omp_fires(self):
         self.assert_fires("raw-parallel", "src/a.cpp",
