@@ -4,11 +4,16 @@
 // shared-governor drain-then-switch across every resident model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "exec/analytic_backend.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "nn/linear.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
@@ -91,40 +96,173 @@ TEST(ModelRegistry, RejectsDuplicateIdsAndFindsShards) {
 }
 
 // A node with ONE registered model must reproduce the single-model
-// Server loop exactly — the facade adds routing, not behavior.
-TEST(ServeNode, SingleModelNodeMatchesServerBitwise) {
-  ServeSessionConfig config;
-  config.battery_capacity_mj = 18'000.0;
-  config.batch = BatchPolicy{4, 30.0};
-  ServeSession single(config);
-  NodeSession node_session(config, 1);
+// session exactly: full stats, telemetry and SLO dumps, over a table of
+// configurations covering every loop branch (fifo/edf/edf-prio, shedding,
+// admission, governor margin, hardware-only, battery death, adaptive).
+// The single-model dumps are also pinned by FNV-1a hash and byte length.
 
-  TrafficConfig tcfg;
-  tcfg.scenario = TrafficScenario::kSteady;
-  tcfg.duration_ms = 60'000.0;
-  tcfg.rate_rps = 5.0;
-  const std::vector<Request> schedule = generate_traffic(tcfg);
-
-  const ServerStats server_stats = single.server().serve(schedule);
-  const NodeStats node_stats = node_session.node().serve(schedule);
-  const ServerStats& shard_stats = node_stats.model(0);
-
-  EXPECT_EQ(server_stats.submitted, shard_stats.submitted);
-  EXPECT_EQ(server_stats.completed, shard_stats.completed);
-  EXPECT_EQ(server_stats.batches, shard_stats.batches);
-  EXPECT_EQ(server_stats.switches, shard_stats.switches);
-  EXPECT_EQ(server_stats.deadline_misses, shard_stats.deadline_misses);
-  EXPECT_DOUBLE_EQ(server_stats.sim_end_ms, shard_stats.sim_end_ms);
-  EXPECT_DOUBLE_EQ(server_stats.energy_used_mj, shard_stats.energy_used_mj);
-  EXPECT_DOUBLE_EQ(server_stats.switch_ms_total,
-                   shard_stats.switch_ms_total);
-  ASSERT_EQ(server_stats.latency_ms.size(), shard_stats.latency_ms.size());
-  for (std::size_t i = 0; i < server_stats.latency_ms.size(); ++i) {
-    EXPECT_DOUBLE_EQ(server_stats.latency_ms[i], shard_stats.latency_ms[i]);
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
   }
-  ASSERT_EQ(server_stats.batch_sizes.size(), shard_stats.batch_sizes.size());
-  for (std::size_t i = 0; i < server_stats.batch_sizes.size(); ++i) {
-    EXPECT_EQ(server_stats.batch_sizes[i], shard_stats.batch_sizes[i]);
+  return h;
+}
+
+struct DumpPin {
+  std::size_t size;
+  std::uint64_t hash;
+};
+
+struct SingleModelCase {
+  const char* name;
+  ServeSessionConfig config;
+  TrafficConfig traffic;
+  DumpPin stats;
+  DumpPin telemetry;
+  DumpPin slo;
+};
+
+struct SessionDumps {
+  std::string stats;
+  std::string telemetry;
+  std::string slo;
+  std::string trace;
+};
+
+/// Serves `schedule` through `serve` with trace, telemetry and SLO
+/// attached via `attach`, and returns the four exports.
+template <typename Attach, typename Serve>
+SessionDumps observed_dumps(Attach&& attach, Serve&& serve) {
+  TraceRecorder trace(/*record_wall=*/false);
+  TelemetrySampler telemetry;
+  SloMonitor slo(SloMonitor::default_rules());
+  attach(&trace, &telemetry, &slo);
+  SessionDumps d;
+  d.stats = serve().to_json();
+  attach(nullptr, nullptr, nullptr);
+  telemetry.export_counters(trace);
+  d.telemetry = telemetry.to_json();
+  d.slo = slo.to_json();
+  d.trace = trace.to_chrome_json();
+  return d;
+}
+
+std::vector<SingleModelCase> single_model_cases() {
+  TrafficConfig burst;
+  burst.scenario = TrafficScenario::kBurst;
+  burst.duration_ms = 120'000.0;
+  burst.rate_rps = 6.0;
+  burst.deadline_slack_ms = 1'000.0;
+  burst.tight_fraction = 0.3;
+  burst.tight_slack_ms = 350.0;
+
+  std::vector<SingleModelCase> cases;
+  {
+    SingleModelCase c{"steady_fifo", {}, {}, {}, {}, {}};
+    c.config.battery_capacity_mj = 18'000.0;
+    c.config.batch = BatchPolicy{4, 30.0};
+    c.traffic.scenario = TrafficScenario::kSteady;
+    c.traffic.duration_ms = 60'000.0;
+    c.traffic.rate_rps = 5.0;
+    c.stats = {830U, 0xf71ea1070847e9b3ULL};
+    c.telemetry = {78720U, 0xe07adad26f8b76abULL};
+    c.slo = {1902U, 0x4e0e21b32c28829fULL};
+    cases.push_back(c);
+  }
+  {
+    SingleModelCase c{"burst_edf_shed_admit", {}, burst, {}, {}, {}};
+    c.config.battery_capacity_mj = 30'000.0;
+    c.config.scheduler.policy = SchedulingPolicy::kEdf;
+    c.config.shed_expired = true;
+    c.config.admit_feasible = true;
+    c.traffic.tight_slack_ms = 150.0;  // queued tight requests turn infeasible
+    c.stats = {838U, 0x16738aa92e053fdeULL};
+    c.telemetry = {104523U, 0xfd1050cd4c7256b2ULL};
+    c.slo = {2443U, 0xd7e88c5e8867665bULL};
+    cases.push_back(c);
+  }
+  {
+    SingleModelCase c{"edf_prio_margin", {}, burst, {}, {}, {}};
+    c.config.battery_capacity_mj = 30'000.0;
+    c.config.scheduler.policy = SchedulingPolicy::kEdfPriority;
+    c.config.governor_margin = 0.05;
+    c.traffic.priority_classes = 3;
+    c.traffic.seed = 5;
+    c.stats = {870U, 0x97bd376c67b1702eULL};
+    c.telemetry = {135367U, 0x81efe95dfecbfd23ULL};
+    c.slo = {4161U, 0x3cad7251f66e3f6ULL};
+    cases.push_back(c);
+  }
+  {
+    SingleModelCase c{"hardware_only", {}, burst, {}, {}, {}};
+    c.config.battery_capacity_mj = 30'000.0;
+    c.config.software_reconfig = false;
+    c.stats = {808U, 0x533c5929c91dc6acULL};
+    c.telemetry = {83929U, 0x2372266b4d2f2fb2ULL};
+    c.slo = {1376U, 0x712022623ce98c0eULL};
+    cases.push_back(c);
+  }
+  {
+    SingleModelCase c{"battery_death", {}, burst, {}, {}, {}};
+    c.config.battery_capacity_mj = 9'000.0;
+    c.config.scheduler.policy = SchedulingPolicy::kEdf;
+    c.config.shed_expired = true;
+    c.traffic.duration_ms = 300'000.0;
+    c.traffic.seed = 9;
+    c.stats = {837U, 0xb93928f63d767093ULL};
+    c.telemetry = {37504U, 0x405238a74863a46fULL};
+    c.slo = {1970U, 0x5f3152844516ba9ULL};
+    cases.push_back(c);
+  }
+  {
+    SingleModelCase c{"adaptive", {}, burst, {}, {}, {}};
+    c.config.battery_capacity_mj = 30'000.0;
+    c.config.governor = GovernorKind::kAdaptive;
+    c.config.scheduler.policy = SchedulingPolicy::kEdf;
+    c.traffic.seed = 3;
+    c.stats = {833U, 0x5fa004d903124e13ULL};
+    c.telemetry = {125815U, 0x1c34c6225e00456dULL};
+    c.slo = {5181U, 0x51d7b7583123724ULL};
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(ServeNode, SingleModelNodeMatchesServerBitwise) {
+  for (const SingleModelCase& c : single_model_cases()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<Request> schedule = generate_traffic(c.traffic);
+    ServeSession single(c.config);
+    NodeSession node_session(c.config, 1);
+    Server& server = single.server();
+    ServeNode& node = node_session.node();
+
+    const SessionDumps s = observed_dumps(
+        [&](TraceRecorder* t, TelemetrySampler* tel, SloMonitor* slo) {
+          server.set_trace(t);
+          server.set_telemetry(tel);
+          server.set_slo(slo);
+        },
+        [&] { return server.serve(schedule); });
+    const SessionDumps n = observed_dumps(
+        [&](TraceRecorder* t, TelemetrySampler* tel, SloMonitor* slo) {
+          node.set_trace(t);
+          node.set_telemetry(tel);
+          node.set_slo(slo);
+        },
+        [&] { return node.serve(schedule).model(0); });
+
+    EXPECT_EQ(s.stats, n.stats);
+    EXPECT_EQ(s.telemetry, n.telemetry);
+    EXPECT_EQ(s.slo, n.slo);
+    EXPECT_EQ(s.stats.size(), c.stats.size);
+    EXPECT_EQ(fnv1a(s.stats), c.stats.hash);
+    EXPECT_EQ(s.telemetry.size(), c.telemetry.size);
+    EXPECT_EQ(fnv1a(s.telemetry), c.telemetry.hash);
+    EXPECT_EQ(s.slo.size(), c.slo.size);
+    EXPECT_EQ(fnv1a(s.slo), c.slo.hash);
   }
 }
 
