@@ -1,12 +1,15 @@
 // Shared MPMC ingestion harness behind serve_concurrent (single-model
 // Server) and serve_node_concurrent (multi-model ServeNode): fan the
 // schedule out over producer pool threads in round-robin slices, close
-// the queue once every producer drained its slice, and run the caller's
-// consumer on this thread — with exceptions from either side re-thrown
-// after the closer joins (consumer errors first, and the queue is closed
-// on a consumer throw so no producer stays blocked on a bounded queue).
+// the queue once every producer drained its slice, and drain it on this
+// thread.  The drained requests are ordered by (arrival, id) — which
+// erases every ingestion race — and handed to the caller's serve(), with
+// exceptions from either side re-thrown after the closer joins (consumer
+// errors first, and the queue is closed on a consumer throw so no
+// producer stays blocked on a bounded queue).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <thread>
@@ -19,12 +22,12 @@
 
 namespace rt3 {
 
-/// `consume(RequestQueue&)` runs on the calling thread and returns the
-/// session stats; its result is returned once ingestion has wound down.
-template <typename Consume>
+/// `serve(const std::vector<Request>&)` runs on the calling thread over
+/// the drained, (arrival, id)-ordered requests and returns the session
+/// stats; its result is returned once ingestion has wound down.
+template <typename Serve>
 auto consume_schedule_concurrently(const std::vector<Request>& schedule,
-                                   std::int64_t producers,
-                                   Consume&& consume) {
+                                   std::int64_t producers, Serve&& serve) {
   check(producers >= 1, "serve_concurrent: need at least one producer");
   RequestQueue queue;
   ThreadPool pool(producers);
@@ -48,10 +51,21 @@ auto consume_schedule_concurrently(const std::vector<Request>& schedule,
     }
     queue.close();
   });
-  decltype(consume(queue)) stats{};
+  decltype(serve(schedule)) stats{};
   std::exception_ptr consumer_error;
   try {
-    stats = consume(queue);
+    std::vector<Request> collected;
+    Request r;
+    while (queue.pop(r)) {
+      collected.push_back(r);
+    }
+    std::sort(collected.begin(), collected.end(),
+              [](const Request& a, const Request& b) {
+                return a.arrival_ms != b.arrival_ms
+                           ? a.arrival_ms < b.arrival_ms
+                           : a.id < b.id;
+              });
+    stats = serve(collected);
   } catch (...) {
     consumer_error = std::current_exception();
     queue.close();  // unblock any producer stuck on a bounded queue

@@ -1,17 +1,9 @@
 #include "serve/node.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
-#include "obs/attribution.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
-#include "serve/batcher.hpp"
 #include "serve/concurrent.hpp"
-#include "serve/policy.hpp"
 
 namespace rt3 {
 
@@ -99,49 +91,13 @@ Server* ModelRegistry::find(std::int64_t model_id) const {
   return shards_[static_cast<std::size_t>(it - ids_.begin())].get();
 }
 
-Router::Decision Router::route(const Request& r, double now_ms,
-                               std::int64_t level_pos) const {
-  Decision decision;
-  decision.shard = registry_.find(r.model_id);
-  if (decision.shard == nullptr) {
-    if (telemetry_ != nullptr) {
-      telemetry_->count_unroutable();
-    }
-    if (trace_ != nullptr) {
-      TraceEvent ev("unroutable", "router", r.arrival_ms, 0);
-      ev.id = r.id;
-      ev.arg("model_id", r.model_id);
-      trace_->record(std::move(ev));
-    }
-    return decision;
-  }
-  // Feasibility: could an immediate solo launch at the current level meet
-  // the deadline?  If not, queueing the request can only produce a miss
-  // and delay feasible work behind it.
-  decision.admitted =
-      !decision.shard->config().admit_feasible ||
-      r.deadline_ms >= now_ms + decision.shard->batch_latency_ms(1, level_pos);
-  if (telemetry_ != nullptr && !decision.admitted) {
-    telemetry_->count_reject(r.model_id);
-  }
-  if (trace_ != nullptr) {
-    TraceEvent ev(decision.admitted ? "arrive" : "reject", "request",
-                  r.arrival_ms, r.model_id + 1);
-    ev.id = r.id;
-    ev.arg("deadline_ms", r.deadline_ms).arg("model_id", r.model_id);
-    trace_->record(std::move(ev));
-  }
-  return decision;
-}
-
 ServeNode::ServeNode(NodeConfig config, VfTable table, GovernorHandle governor,
                      PowerModel power)
     : config_(config),
       table_(std::move(table)),
       governor_(std::move(governor)),
       power_(power),
-      battery_(config.battery_capacity_mj),
-      router_(registry_) {
+      battery_(config.battery_capacity_mj) {
   for (const std::int64_t li : governor_.ladder().levels()) {
     check(li >= 0 && li < table_.size(),
           "ServeNode: governor level not in table");
@@ -164,486 +120,26 @@ Server& ServeNode::model(std::int64_t model_id) {
 
 NodeStats ServeNode::serve(const std::vector<Request>& schedule) {
   check(registry_.size() >= 1, "ServeNode: no models registered");
-  GovernorPolicy& gov = governor_.policy();
-  const Governor& ladder = governor_.ladder();
-  gov.reset();  // fresh episode: EWMAs / recurrent state, never weights
-
-  /// One model's in-flight serving state inside the node loop.
-  struct Shard {
-    std::int64_t model_id = 0;
-    Server* server = nullptr;
-    Batcher batcher;
-    ServerStats stats;
-    Shard(std::int64_t id, Server* s)
-        : model_id(id),
-          server(s),
-          batcher(s->config().batch, s->config().scheduler) {}
-  };
-
-  std::vector<Shard> shards;
-  shards.reserve(static_cast<std::size_t>(registry_.size()));
+  std::vector<SessionShard> shards;
   for (const std::int64_t id : registry_.ids()) {
-    Server* server = registry_.find(id);
-    shards.emplace_back(id, server);
-    Shard& sh = shards.back();
-    sh.stats.backend = server->backend().name();
-    sh.stats.policy = scheduling_policy_name(server->config().scheduler.policy);
-    sh.stats.runs_per_level.assign(ladder.levels().size(), 0.0);
+    shards.push_back({id, registry_.find(id)});
   }
-  const auto shard_of = [&](const Server* server) -> Shard& {
-    for (Shard& sh : shards) {
-      if (sh.server == server) {
-        return sh;
-      }
-    }
-    throw CheckError("ServeNode: router returned an unregistered shard");
-  };
-
-  NodeStats node;
-  battery_.recharge();
-
-  // Node-wide interval records for miss attribution: batches and switch
-  // epochs from EVERY model serialize on the one core, so one shared pair
-  // of accounts describes what any waiting request was stalled behind.
-  IntervalAccount switch_ivals;
-  IntervalAccount exec_ivals;
-  if (trace_ != nullptr) {
-    router_.set_trace(trace_);
-    for (Shard& sh : shards) {
-      const std::int64_t lane = sh.model_id + 1;
-      if (sh.server->reconfig_engine() != nullptr) {
-        sh.server->reconfig_engine()->set_trace(trace_);
-      }
-      sh.server->exec_backend().set_trace(trace_, lane);
-      sh.batcher.set_trace(trace_, lane);
-    }
-    trace_->set_now_ms(0.0);
+  NodeStats stats =
+      serve_shards(shards, /*route_by_model_id=*/true, schedule, battery_,
+                   governor_.policy(), observers_);
+  if (observers_.metrics != nullptr) {
+    stats.publish(*observers_.metrics);
   }
-  if (slo_ != nullptr) {
-    slo_->set_trace(trace_);
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->set_now_ms(0.0);
-    router_.set_telemetry(telemetry_);
-    for (Shard& sh : shards) {
-      if (sh.server->reconfig_engine() != nullptr) {
-        sh.server->reconfig_engine()->set_telemetry(telemetry_);
-      }
-    }
-  }
-
-  const auto n = static_cast<std::int64_t>(schedule.size());
-  std::int64_t next = 0;     // next schedule index to route
-  std::int64_t active = -1;  // current governor-level position (node-wide)
-  // Drain-then-switch lag of the next switch epoch (see Server::serve);
-  // within an epoch, shard k's switch can only fire after shards 0..k-1
-  // have switched, so the recorded lag accumulates across the epoch.
-  double pending_switch_lag = 0.0;
-  double now = 0.0;
-
-  const auto total_pending = [&] {
-    std::int64_t pending = 0;
-    for (const Shard& sh : shards) {
-      pending += sh.batcher.pending();
-    }
-    return pending;
-  };
-
-  // Node-wide deadline pressure: the most urgent shard's consumed share
-  // of its max-wait budget (shard order is deterministic).
-  const auto max_pressure = [&](double at_ms) {
-    double pressure = 0.0;
-    for (const Shard& sh : shards) {
-      pressure = std::max(
-          pressure, deadline_pressure(at_ms, sh.batcher.release_at_ms(),
-                                      sh.batcher.policy().max_wait_ms));
-    }
-    return pressure;
-  };
-
-  while (next < n || total_pending() > 0) {
-    if (battery_.empty()) {
-      break;
-    }
-    GovernorObservation gobs;
-    gobs.now_ms = now;
-    gobs.battery_fraction = battery_.fraction();
-    gobs.queue_depth = total_pending();
-    gobs.deadline_pressure = max_pressure(now);
-    const std::int64_t pos = gov.decide(gobs);
-    if (pos != active) {
-      // Shared-governor switch: the battery crossing is one node-level
-      // event, and EVERY resident model switches at this batch boundary —
-      // in model-id order, serialized on the single core — so no shard
-      // keeps serving a sub-model the new V/F level cannot afford.
-      double lag = pending_switch_lag;
-      bool battery_died = false;
-      if (trace_ != nullptr && active >= 0) {
-        trace_->set_now_ms(now);
-        trace_->record(TraceEvent("governor.step", "governor", now, 0)
-                           .arg("from_level", active)
-                           .arg("to_level", pos)
-                           .arg("battery_fraction", battery_.fraction()));
-      }
-      for (Shard& sh : shards) {
-        const ServerConfig& cfg = sh.server->config();
-        ReconfigEngine* engine = sh.server->reconfig_engine();
-        double engine_swap_ms = 0.0;
-        if (cfg.software_reconfig && active >= 0) {
-          if (!battery_.drain(cfg.switch_energy_mj)) {
-            battery_died = true;  // mid-epoch death: leftovers drop below
-            break;
-          }
-          sh.stats.energy_used_mj += cfg.switch_energy_mj;
-          double switch_ms = cfg.switch_latency_ms;
-          if (trace_ != nullptr) {
-            trace_->set_now_ms(now);
-          }
-          if (telemetry_ != nullptr) {
-            telemetry_->set_now_ms(now);
-          }
-          if (engine != nullptr) {
-            const SwitchReport report = engine->switch_to(pos);
-            switch_ms = report.modeled_ms;
-            engine_swap_ms = report.plan_swap_wall_ms;
-          }
-          ++sh.stats.switches;
-          switch_ivals.add(now, now + switch_ms);
-          if (trace_ != nullptr) {
-            TraceEvent ev("switch", "switch", now, sh.model_id + 1);
-            ev.ph = 'X';
-            ev.dur_ms = switch_ms;
-            ev.arg("to_level", pos).arg("drain_lag_ms", lag);
-            trace_->record(std::move(ev));
-          }
-          now += switch_ms;
-          sh.stats.switch_ms_total += switch_ms;
-          sh.stats.switch_ms.push_back(switch_ms);
-          sh.stats.switch_lag_ms.push_back(lag);
-          if (telemetry_ != nullptr) {
-            telemetry_->record_switch(switch_ms);
-          }
-          lag += switch_ms;
-        } else if (cfg.software_reconfig && engine != nullptr) {
-          // Initial activation: free at t = 0.
-          engine_swap_ms = engine->switch_to(pos).plan_swap_wall_ms;
-        }
-        const double swap_ms =
-            engine_swap_ms + sh.server->exec_backend().activate_level(pos);
-        sh.stats.plan_swap_ms.push_back(swap_ms);
-        sh.stats.plan_swap_ms_total += swap_ms;
-      }
-      pending_switch_lag = 0.0;
-      if (battery_died) {
-        break;
-      }
-      active = pos;
-      continue;  // re-read the fraction in case the switches drained it dry
-    }
-
-    // Governor-aware batching, per shard (each deployment carries its own
-    // margin/cap) against the one shared battery.
-    for (Shard& sh : shards) {
-      const ServerConfig& cfg = sh.server->config();
-      const double margin = gov.shrink_margin(cfg.governor_margin);
-      if (margin > 0.0) {
-        const double fraction = battery_.fraction();
-        const double threshold = gov.next_step_down(fraction);
-        const bool near_switch =
-            threshold > 0.0 && fraction - threshold <= margin;
-        sh.batcher.set_batch_cap(near_switch ? cfg.governor_shrink_batch
-                                             : cfg.batch.max_batch_size);
-      }
-    }
-
-    // Route everything that has arrived by now; the Router decides the
-    // target shard (model id) and feasibility admission at ingress.
-    while (next < n &&
-           schedule[static_cast<std::size_t>(next)].arrival_ms <= now) {
-      const Request& r = schedule[static_cast<std::size_t>(next)];
-      const Router::Decision decision = router_.route(r, now, pos);
-      if (decision.shard == nullptr) {
-        ++node.unroutable;
-      } else {
-        Shard& sh = shard_of(decision.shard);
-        ++sh.stats.submitted;
-        if (decision.admitted) {
-          sh.batcher.push(r);
-        } else {
-          ++sh.stats.rejected;
-        }
-      }
-      ++next;
-    }
-
-    // Load shedding per shard: a blown deadline cannot be served in time.
-    for (Shard& sh : shards) {
-      if (sh.server->config().shed_expired) {
-        const std::int64_t n_shed =
-            static_cast<std::int64_t>(sh.batcher.shed_expired(now).size());
-        sh.stats.shed += n_shed;
-        if (telemetry_ != nullptr && n_shed > 0) {
-          telemetry_->count_shed(sh.model_id, n_shed);
-        }
-      }
-    }
-    if (next >= n && total_pending() == 0) {
-      continue;  // everything left was shed/rejected; the loop ends it
-    }
-
-    // Pick the shard to run: batches serialize on the one core, so take
-    // the ready shard whose forced-release point is earliest (the oldest
-    // waiting work), ties to the lowest model id.  With one model this
-    // degenerates to exactly Server::serve's order.
-    Shard* run = nullptr;
-    for (Shard& sh : shards) {
-      if (!sh.batcher.ready(now)) {
-        continue;
-      }
-      if (run == nullptr ||
-          sh.batcher.release_at_ms() < run->batcher.release_at_ms()) {
-        run = &sh;
-      }
-    }
-    if (run == nullptr) {
-      // Nothing to do yet: jump to the earliest actionable instant.
-      double wake = next < n
-                        ? schedule[static_cast<std::size_t>(next)].arrival_ms
-                        : std::numeric_limits<double>::infinity();
-      for (const Shard& sh : shards) {
-        wake = std::min(wake, sh.batcher.release_at_ms());
-      }
-      check(wake < std::numeric_limits<double>::infinity(),
-            "ServeNode: idle with nothing pending");  // loop condition bars it
-      now = std::max(now, wake);
-      continue;
-    }
-
-    const std::vector<Request> batch = run->batcher.pop_batch(now);
-    if (trace_ != nullptr) {
-      trace_->set_now_ms(now);
-    }
-    const BatchExecution exec = run->server->exec_backend().run_batch(
-        static_cast<std::int64_t>(batch.size()), pos);
-    const double lat_ms = exec.latency_ms;
-    run->stats.kernel_wall_ms_total += exec.kernel_wall_ms;
-    const VfLevel& level =
-        table_.level(ladder.levels()[static_cast<std::size_t>(pos)]);
-    const double energy = power_.energy_mj(level, lat_ms);
-    const double frac_before = battery_.fraction();
-    if (!battery_.drain(energy)) {
-      // The popped batch is lost here; every other leftover is attributed
-      // after the loop.
-      run->stats.dropped += static_cast<std::int64_t>(batch.size());
-      if (trace_ != nullptr) {
-        trace_->record(TraceEvent("battery.dead", "governor", now, 0)
-                           .arg("model_id", run->model_id));
-      }
-      break;
-    }
-    const double frac_after = battery_.fraction();
-    const double drain_lag =
-        gov.drain_lag_ms(pos, frac_before, frac_after, lat_ms);
-    if (drain_lag >= 0.0) {
-      pending_switch_lag = drain_lag;
-    }
-    const double end = now + lat_ms;
-    std::int64_t batch_misses = 0;
-    double batch_latency_sum = 0.0;
-    for (const Request& r : batch) {
-      run->stats.latency_ms.push_back(end - r.arrival_ms);
-      batch_latency_sum += end - r.arrival_ms;
-      // Decompose against the node-wide accounts BEFORE this batch joins
-      // exec_ivals: waiting behind ANOTHER model's batch is queue_wait
-      // here too — cross-model head-of-line blocking becomes visible.
-      const WaitBreakdown w =
-          attribute_wait(switch_ivals, exec_ivals, r.arrival_ms, now, end);
-      run->stats.queue_wait_ms.push_back(w.queue_wait_ms);
-      run->stats.batch_wait_ms.push_back(w.batch_wait_ms);
-      run->stats.switch_stall_req_ms.push_back(w.switch_stall_ms);
-      run->stats.exec_req_ms.push_back(w.exec_ms);
-      run->stats.ensure_class(r.priority);
-      ++run->stats
-            .completed_per_class[static_cast<std::size_t>(r.priority)];
-      MissClass miss = MissClass::kNone;
-      if (end > r.deadline_ms) {
-        ++run->stats.deadline_misses;
-        ++batch_misses;
-        ++run->stats.misses_per_class[static_cast<std::size_t>(r.priority)];
-        miss = classify_miss(w, r.arrival_ms, end, r.deadline_ms);
-        switch (miss) {
-          case MissClass::kQueued: ++run->stats.miss_queued; break;
-          case MissClass::kSwitch: ++run->stats.miss_switch; break;
-          case MissClass::kExec: ++run->stats.miss_exec; break;
-          case MissClass::kNone: break;  // unreachable: end > deadline
-        }
-      }
-      if (trace_ != nullptr) {
-        const std::int64_t lane = run->model_id + 1;
-        TraceEvent span("request", "request", r.arrival_ms, lane);
-        span.ph = 'X';
-        span.dur_ms = end - r.arrival_ms;
-        span.id = r.id;
-        span.arg("queue_wait_ms", w.queue_wait_ms)
-            .arg("batch_wait_ms", w.batch_wait_ms)
-            .arg("switch_stall_ms", w.switch_stall_ms)
-            .arg("exec_ms", w.exec_ms)
-            .arg("deadline_ms", r.deadline_ms);
-        trace_->record(std::move(span));
-        if (miss != MissClass::kNone) {
-          TraceEvent ev("miss", "request", end, lane);
-          ev.id = r.id;
-          ev.arg("cause", std::string(miss_class_name(miss)))
-              .arg("over_by_ms", end - r.deadline_ms);
-          trace_->record(std::move(ev));
-        }
-      }
-    }
-    exec_ivals.add(now, end);
-    {
-      BatchFeedback feedback;
-      feedback.start_ms = now;
-      feedback.end_ms = end;
-      feedback.batch_size = static_cast<std::int64_t>(batch.size());
-      feedback.level_pos = pos;
-      feedback.energy_mj = energy;
-      feedback.battery_fraction = frac_after;
-      feedback.drain_fraction = frac_before - frac_after;
-      feedback.misses = batch_misses;
-      gov.observe_batch(feedback);
-    }
-    if (trace_ != nullptr) {
-      TraceEvent ev("batch", "batch", now, run->model_id + 1);
-      ev.ph = 'X';
-      ev.dur_ms = lat_ms;
-      ev.arg("size", static_cast<std::int64_t>(batch.size()))
-          .arg("level", pos)
-          .arg("energy_mj", energy);
-      trace_->record(std::move(ev));
-    }
-    run->stats.energy_used_mj += energy;
-    run->stats.completed += static_cast<std::int64_t>(batch.size());
-    run->stats.runs_per_level[static_cast<std::size_t>(pos)] +=
-        static_cast<double>(batch.size());
-    ++run->stats.batches;
-    run->stats.batch_sizes.push_back(static_cast<std::int64_t>(batch.size()));
-    run->stats.busy_ms += lat_ms;
-    if (telemetry_ != nullptr) {
-      BatchSample sample;
-      sample.model_id = run->model_id;
-      sample.start_ms = now;
-      sample.end_ms = end;
-      sample.batch_size = static_cast<std::int64_t>(batch.size());
-      sample.level_pos = pos;
-      sample.energy_mj = energy;
-      sample.battery_fraction = battery_.fraction();
-      sample.queue_depth = run->batcher.pending();
-      sample.node_queue_depth = total_pending();
-      sample.misses = batch_misses;
-      sample.latency_sum_ms = batch_latency_sum;
-      telemetry_->on_batch(sample);
-    }
-    if (slo_ != nullptr) {
-      // Node-level SLO: batches from every model feed one monitor, so a
-      // breach means the NODE is burning its error budget regardless of
-      // which resident model the misses came from.
-      SloObservation obs;
-      obs.end_ms = end;
-      obs.completed = static_cast<std::int64_t>(batch.size());
-      obs.missed = batch_misses;
-      obs.battery_fraction = battery_.fraction();
-      obs.mean_latency_ms =
-          batch_latency_sum / static_cast<double>(batch.size());
-      slo_->observe(obs);
-    }
-    if (run->server->batch_observer()) {
-      run->server->batch_observer()(batch, pos, now, end);
-    }
-    now = end;
-  }
-
-  if (battery_.empty()) {
-    // Battery died: queued requests drop where they sat, unrouted ones
-    // still attribute to their target model (or unroutable), so per-model
-    // submitted always sums to the schedule.
-    for (Shard& sh : shards) {
-      sh.stats.dropped += sh.batcher.pending();
-    }
-    for (; next < n; ++next) {
-      Server* shard = registry_.find(
-          schedule[static_cast<std::size_t>(next)].model_id);
-      if (shard == nullptr) {
-        ++node.unroutable;
-      } else {
-        Shard& sh = shard_of(shard);
-        ++sh.stats.submitted;
-        ++sh.stats.dropped;
-      }
-    }
-  }
-
-  node.sim_end_ms = now;
-  for (Shard& sh : shards) {
-    sh.stats.sim_end_ms = now;
-    node.per_model.emplace_back(sh.model_id, std::move(sh.stats));
-  }
-  node.aggregate();
-  if (trace_ != nullptr) {
-    // Detach so a later un-traced serve() on the same wiring stays clean.
-    router_.set_trace(nullptr);
-    for (const std::int64_t id : registry_.ids()) {
-      Server* server = registry_.find(id);
-      if (server->reconfig_engine() != nullptr) {
-        server->reconfig_engine()->set_trace(nullptr);
-      }
-      server->exec_backend().set_trace(nullptr, 0);
-    }
-  }
-  if (slo_ != nullptr) {
-    slo_->set_trace(nullptr);
-  }
-  if (telemetry_ != nullptr) {
-    router_.set_telemetry(nullptr);
-    for (const std::int64_t id : registry_.ids()) {
-      Server* server = registry_.find(id);
-      if (server->reconfig_engine() != nullptr) {
-        server->reconfig_engine()->set_telemetry(nullptr);
-      }
-    }
-  }
-  if (metrics_ != nullptr) {
-    node.publish(*metrics_);
-    if (slo_ != nullptr) {
-      slo_->publish(*metrics_);
-    }
-    if (trace_ != nullptr) {
-      metrics_->gauge("trace.dropped_events")
-          .set(static_cast<double>(trace_->dropped_events()));
-    }
-  }
-  return node;
-}
-
-NodeStats ServeNode::serve_queue(RequestQueue& queue) {
-  std::vector<Request> collected;
-  Request r;
-  while (queue.pop(r)) {
-    collected.push_back(r);
-  }
-  std::sort(collected.begin(), collected.end(),
-            [](const Request& a, const Request& b) {
-              return a.arrival_ms != b.arrival_ms ? a.arrival_ms < b.arrival_ms
-                                                  : a.id < b.id;
-            });
-  return serve(collected);
+  return stats;
 }
 
 NodeStats serve_node_concurrent(ServeNode& node,
                                 const std::vector<Request>& schedule,
                                 std::int64_t producers) {
   return consume_schedule_concurrently(
-      schedule, producers,
-      [&node](RequestQueue& queue) { return node.serve_queue(queue); });
+      schedule, producers, [&node](const std::vector<Request>& sorted) {
+        return node.serve(sorted);
+      });
 }
 
 }  // namespace rt3

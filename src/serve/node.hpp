@@ -2,7 +2,7 @@
 // ONE battery and ONE governor on one device — the phone hosting multiple
 // NLP services the paper targets.
 //
-// Three pieces compose the node:
+// Two pieces compose the node:
 //
 //   ModelDeployment — fluent builder for one model's serving machinery:
 //       ModelDeployment()
@@ -21,19 +21,18 @@
 //       every per-shard iteration order (switching, stats) is
 //       deterministic.
 //
-//   Router — dispatches each Request by Request::model_id and performs
-//       FEASIBILITY-BASED ADMISSION at ingress: a request whose deadline
-//       lies inside now + batch_latency(1, level) for its target model is
-//       rejected (ServerStats::rejected) instead of being queued to miss
-//       and domino other deadlines under overload.
-//
-// ServeNode drives all shards on a single virtual clock against the
-// shared battery: batches from different models serialize (one mobile
-// core), and when the governor steps the ladder down the node drains the
-// in-flight work then switches EVERY resident model's pattern set at that
-// one batch boundary, so no model is ever left running a sub-model the
-// current V/F level cannot afford.  A node with one registered model
-// reproduces Server::serve bit-for-bit.
+// ServeNode drives all shards through serve_shards() (server.hpp) on a
+// single virtual clock against the shared battery: each request is routed
+// by Request::model_id, FEASIBILITY-BASED ADMISSION rejects one whose
+// deadline lies inside now + batch_latency(1, level) for its target model
+// (ServerStats::rejected) instead of queueing it to miss and domino other
+// deadlines under overload, batches from different models serialize (one
+// mobile core), and when the governor steps the ladder down the node
+// drains the in-flight work then switches EVERY resident model's pattern
+// set at that one batch boundary, so no model is ever left running a
+// sub-model the current V/F level cannot afford.  Server::serve runs the
+// same loop with one shard, so a node with one registered model and a
+// Server produce the same stats, telemetry, SLO and trace bytes.
 #pragma once
 
 #include <cstdint>
@@ -107,40 +106,6 @@ class ModelRegistry {
   std::vector<std::unique_ptr<Server>> shards_;  // parallel to ids_
 };
 
-/// Dispatches requests to shards by model id and decides admission.
-class Router {
- public:
-  explicit Router(const ModelRegistry& registry) : registry_(registry) {}
-
-  struct Decision {
-    /// Target shard; nullptr when the model id matches no registered
-    /// model (NodeStats::unroutable).
-    Server* shard = nullptr;
-    /// False when the target model's feasibility admission rejected the
-    /// request at ingress (ServerStats::rejected).
-    bool admitted = false;
-  };
-
-  /// Routing decision for one request at virtual time `now_ms` with the
-  /// shared governor at level position `level_pos`.
-  Decision route(const Request& r, double now_ms,
-                 std::int64_t level_pos) const;
-
-  /// Attaches a trace recorder (nullptr detaches): route() then emits a
-  /// routed/reject/unroutable instant per request on the target model's
-  /// lane (model id + 1; lane 0 for unroutable ids).
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attaches a telemetry sampler (nullptr detaches): route() then counts
-  /// ingress rejections per model and unroutable requests into it.
-  void set_telemetry(TelemetrySampler* telemetry) { telemetry_ = telemetry; }
-
- private:
-  const ModelRegistry& registry_;
-  TraceRecorder* trace_ = nullptr;
-  TelemetrySampler* telemetry_ = nullptr;
-};
-
 struct NodeConfig {
   /// The ONE battery budget every resident model draws from.
   double battery_capacity_mj = 12'000.0;
@@ -169,12 +134,6 @@ class ServeNode {
   /// (sorted by arrival time; requests carry model ids).  Deterministic.
   NodeStats serve(const std::vector<Request>& schedule);
 
-  /// Pops requests from the queue until it is closed and drained, orders
-  /// them by (arrival timestamp, id), and runs serve().  Producers may
-  /// push from any number of threads; routing is deterministic because
-  /// ingestion races are erased by the timestamp ordering.
-  NodeStats serve_queue(RequestQueue& queue);
-
   const Battery& battery() const { return battery_; }
   /// The level ladder behind the shared policy.
   const Governor& governor() const { return governor_.ladder(); }
@@ -184,26 +143,28 @@ class ServeNode {
   /// Attaches a trace recorder (nullptr detaches): serve() then emits the
   /// full request/batch/switch lifecycle on per-model lanes (model id + 1)
   /// with governor/battery events on lane 0, and forwards the recorder to
-  /// the Router and every shard's engine, backend, and batcher.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-  TraceRecorder* trace() const { return trace_; }
+  /// every shard's engine, backend, and batcher.
+  void set_trace(TraceRecorder* trace) { observers_.trace = trace; }
+  TraceRecorder* trace() const { return observers_.trace; }
 
   /// Directs session counters into an external registry (nullptr resets):
   /// serve() then mirrors the final NodeStats via NodeStats::publish.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(MetricsRegistry* metrics) { observers_.metrics = metrics; }
 
   /// Attaches a continuous-telemetry sampler (nullptr detaches): serve()
   /// then reports every batch boundary (on the executing model's lane),
   /// shed/reject/unroutable counts, and switch epochs to it.  Same
   /// single-null-check overhead contract as set_trace.
-  void set_telemetry(TelemetrySampler* telemetry) { telemetry_ = telemetry; }
-  TelemetrySampler* telemetry() const { return telemetry_; }
+  void set_telemetry(TelemetrySampler* telemetry) {
+    observers_.telemetry = telemetry;
+  }
+  TelemetrySampler* telemetry() const { return observers_.telemetry; }
 
   /// Attaches an SLO monitor (nullptr detaches): serve() then feeds it
   /// node-level batch observations and publishes its breach counts into
   /// the metrics registry (when one is attached) at session end.
-  void set_slo(SloMonitor* slo) { slo_ = slo; }
-  SloMonitor* slo() const { return slo_; }
+  void set_slo(SloMonitor* slo) { observers_.slo = slo; }
+  SloMonitor* slo() const { return observers_.slo; }
 
  private:
   NodeConfig config_;
@@ -212,11 +173,7 @@ class ServeNode {
   PowerModel power_;
   Battery battery_;
   ModelRegistry registry_;
-  Router router_;
-  TraceRecorder* trace_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-  TelemetrySampler* telemetry_ = nullptr;
-  SloMonitor* slo_ = nullptr;
+  SessionObservers observers_;
 };
 
 /// Pushes `schedule` through a RequestQueue from `producers` pool threads

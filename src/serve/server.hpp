@@ -14,8 +14,8 @@
 // calibrated LatencyModel with the fixed per-inference runtime cost
 // amortized across the batch, energy from the PowerModel, so a session is
 // bit-reproducible and runs in milliseconds of host time.  Ingestion may
-// still be genuinely concurrent: serve_queue() accepts requests from any
-// number of producer threads through the MPMC RequestQueue.
+// still be genuinely concurrent: serve_concurrent() feeds the session from
+// any number of producer threads through the MPMC RequestQueue.
 //
 // OWNERSHIP.  A Server OWNS its ReconfigEngine and ExecutionBackend when
 // they are handed over via adopt_engine()/adopt_backend() — which is how
@@ -29,10 +29,11 @@
 // bit-for-bit; adaptive and learned policies plug in through the same
 // handle.
 //
-// Several backbone-resident models on one device share one battery and
-// one governor through the multi-model ServeNode front-end (node.hpp),
-// which drives per-model Server shards on a single clock; this class
-// remains the single-model session loop.
+// ONE LOOP.  Several backbone-resident models on one device share one
+// battery and one governor through the multi-model ServeNode front-end
+// (node.hpp), which drives per-model Server shards on a single clock.
+// Both front-ends run the same loop, serve_shards(): Server::serve is a
+// session with this server as its only shard and its own battery.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +99,16 @@ struct ServerConfig {
 using BatchObserver = std::function<void(
     const std::vector<Request>&, std::int64_t, double, double)>;
 
+/// The observers attached to a session (each may be null).  Observing is
+/// pure: a session with any of them attached is byte-identical to a bare
+/// one, and every instrumentation site is a single null check.
+struct SessionObservers {
+  TraceRecorder* trace = nullptr;
+  MetricsRegistry* metrics = nullptr;
+  TelemetrySampler* telemetry = nullptr;
+  SloMonitor* slo = nullptr;
+};
+
 class Server {
  public:
   /// `sparsities[i]` is the overall model sparsity of the sub-model for
@@ -120,16 +131,15 @@ class Server {
   void adopt_backend(std::unique_ptr<ExecutionBackend> backend);
 
   const ExecutionBackend& backend() const { return *backend_; }
-  /// Mutable backend access for drivers that execute batches themselves
-  /// (the ServeNode loop).
+  /// Mutable backend access for the serving loop, which executes batches.
   ExecutionBackend& exec_backend() { return *backend_; }
   /// The engine switched at drain-then-switch points (nullptr when the
   /// session runs without one).
   ReconfigEngine* reconfig_engine() { return engine_; }
 
   void set_batch_observer(BatchObserver observer);
-  /// The installed observer (empty when none); drivers that execute
-  /// batches themselves (the ServeNode loop) invoke it per batch.
+  /// The installed observer (empty when none); the serving loop invokes
+  /// it after every batch this shard executes.
   const BatchObserver& batch_observer() const { return observer_; }
 
   /// Attaches a trace recorder (nullptr detaches): the serve loop then
@@ -138,7 +148,7 @@ class Server {
   /// batcher.  Every instrumentation site is a single `if (trace_)`
   /// branch, so trace-off sessions are bitwise-identical to untraced ones.
   void set_trace(TraceRecorder* trace);
-  TraceRecorder* trace() const { return trace_; }
+  TraceRecorder* trace() const { return observers_.trace; }
 
   /// Directs the session's metric counters into an external registry
   /// (nullptr restores the internal throwaway one): serve() mirrors every
@@ -151,23 +161,20 @@ class Server {
   /// it.  Same single-null-check overhead contract as set_trace —
   /// telemetry-off sessions are bitwise-identical to unattached ones.
   void set_telemetry(TelemetrySampler* telemetry);
-  TelemetrySampler* telemetry() const { return telemetry_; }
+  TelemetrySampler* telemetry() const { return observers_.telemetry; }
 
   /// Attaches an SLO monitor (nullptr detaches): serve() then feeds it
   /// every batch boundary, forwards the trace recorder to it for
   /// breach/recover events, and publishes its breach counts into the
   /// metrics registry (when one is attached) at session end.
   void set_slo(SloMonitor* slo);
-  SloMonitor* slo() const { return slo_; }
+  SloMonitor* slo() const { return observers_.slo; }
 
-  /// Runs one full session over a pre-generated arrival schedule
-  /// (sorted by arrival time).  Deterministic.
+  /// Runs one full session over a pre-generated arrival schedule (sorted
+  /// by arrival time) against this server's battery: serve_shards() with
+  /// this server as the only shard (model id 0), so every request is
+  /// served here whatever its Request::model_id says.  Deterministic.
   ServerStats serve(const std::vector<Request>& schedule);
-
-  /// Pops requests from the queue until it is closed and drained, orders
-  /// them by arrival timestamp, and runs serve().  Producers may push
-  /// from any number of threads.
-  ServerStats serve_queue(RequestQueue& queue);
 
   /// ANALYTIC latency of one batch at a governor-level position: the fixed
   /// per-inference runtime cost is paid once, the MAC cost per request.
@@ -207,11 +214,32 @@ class Server {
   std::unique_ptr<AnalyticBackend> analytic_;
   ExecutionBackend* backend_ = nullptr;
   BatchObserver observer_;
-  TraceRecorder* trace_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-  TelemetrySampler* telemetry_ = nullptr;
-  SloMonitor* slo_ = nullptr;
+  SessionObservers observers_;
 };
+
+/// One shard of a serving session: its model id (trace lane model id + 1,
+/// telemetry series, stats key) and the Server holding its machinery.
+struct SessionShard {
+  std::int64_t model_id = 0;
+  Server* server = nullptr;
+};
+
+/// THE serving loop, behind Server::serve (one shard) and ServeNode::serve
+/// (one shard per registered model).  All shards run on one virtual clock
+/// against one battery and one governor policy: batches serialize (one
+/// mobile core), and when the policy changes level every shard drains and
+/// switches at that one batch boundary.  `shards` must ascend by model
+/// id.  With `route_by_model_id` each request goes to the shard of its
+/// Request::model_id (unknown ids count as NodeStats::unroutable);
+/// without it every request goes to the first shard.  The observers are
+/// wired into each shard's engine, backend and batcher for the session
+/// only; `metrics` receives the SLO breach counts and the trace's dropped
+/// events — the caller publishes the stats under its own labels.
+NodeStats serve_shards(const std::vector<SessionShard>& shards,
+                       bool route_by_model_id,
+                       const std::vector<Request>& schedule, Battery& battery,
+                       GovernorPolicy& governor,
+                       const SessionObservers& observers);
 
 /// Pushes `schedule` through a RequestQueue from `producers` pool threads
 /// (round-robin slices) while the server consumes — the real MPMC

@@ -100,6 +100,7 @@ TEST(ModelRegistry, RejectsDuplicateIdsAndFindsShards) {
 // configurations covering every loop branch (fifo/edf/edf-prio, shedding,
 // admission, governor margin, hardware-only, battery death, adaptive).
 // The single-model dumps are also pinned by FNV-1a hash and byte length.
+// Both front-ends run serve_shards(), so the traces match byte for byte.
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -257,6 +258,8 @@ TEST(ServeNode, SingleModelNodeMatchesServerBitwise) {
     EXPECT_EQ(s.stats, n.stats);
     EXPECT_EQ(s.telemetry, n.telemetry);
     EXPECT_EQ(s.slo, n.slo);
+    // One loop, one event vocabulary: the traces are byte-equal too.
+    EXPECT_EQ(s.trace, n.trace);
     EXPECT_EQ(s.stats.size(), c.stats.size);
     EXPECT_EQ(fnv1a(s.stats), c.stats.hash);
     EXPECT_EQ(s.telemetry.size(), c.telemetry.size);
@@ -406,6 +409,49 @@ TEST(ServeNode, UnroutableRequestsAreCounted) {
   EXPECT_EQ(stats.submitted, 3);
   EXPECT_TRUE(stats.has_model(7));
   EXPECT_FALSE(stats.has_model(99));
+}
+
+// A single Server serves every request whatever its model id says, and a
+// battery that dies paying a switch is traced like one that dies paying a
+// batch: one battery.dead on lane 0 naming the model, leftovers dropped.
+TEST(ServeNode, ServerIgnoresModelIdsAndTracesDeathPayingASwitch) {
+  ServerConfig cfg = paper_server_config(3'000.0, {2, 20.0});
+  // More than the 2000 mJ left at the first step-down of three tranches.
+  cfg.switch_energy_mj = 2'500.0;
+  std::unique_ptr<Server> server =
+      std::move(paper_deployment(cfg))
+          .build(VfTable::odroid_xu3_a7(),
+                 Governor::equal_tranches(paper_serve_ladder()),
+                 PowerModel());
+  std::vector<Request> schedule = generate_node_traffic(1, 5.0);
+  for (Request& r : schedule) {
+    r.model_id = r.id % 3 == 0 ? 5 : 0;
+  }
+  TraceRecorder trace(/*record_wall=*/false);
+  server->set_trace(&trace);
+  const ServerStats stats = server->serve(schedule);
+  server->set_trace(nullptr);
+
+  EXPECT_EQ(stats.submitted, static_cast<std::int64_t>(schedule.size()));
+  EXPECT_EQ(stats.switches, 0);
+  EXPECT_GT(stats.completed, 0);
+  EXPECT_GT(stats.dropped, 0);
+  EXPECT_EQ(stats.completed + stats.dropped, stats.submitted);
+  EXPECT_TRUE(server->battery().empty());
+  std::int64_t deaths = 0;
+  for (const TraceEvent& ev : trace.merged()) {
+    if (ev.name == "battery.dead") {
+      ++deaths;
+      EXPECT_EQ(ev.tid, 0);
+      ASSERT_EQ(ev.num_args, 1);
+      EXPECT_STREQ(ev.args[0].key, "model_id");
+      EXPECT_EQ(ev.args[0].i, 0);
+    }
+    if (ev.name == "arrive") {
+      EXPECT_EQ(ev.tid, 1);  // the one shard's lane, not model 5's
+    }
+  }
+  EXPECT_EQ(deaths, 1);
 }
 
 // One battery step-down must drain-then-switch EVERY resident model at
