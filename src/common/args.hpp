@@ -34,6 +34,13 @@ std::string arg_string(const std::vector<std::string>& args,
 bool arg_present(const std::vector<std::string>& args,
                  const std::string& flag);
 
+/// Throws CheckError naming every "--flag" token in `args` that `known`
+/// does not list (each with the closest known flag within two edits), so
+/// a misspelled flag fails loudly instead of being silently ignored.
+/// Tokens that do not start with "--" (values, positionals) are skipped.
+void check_known_flags(const std::vector<std::string>& args,
+                       const std::vector<std::string>& known);
+
 /// The positional (non-flag) operands: tokens not starting with "--" that
 /// are not consumed as some preceding flag's value.  CONTRACT: a token
 /// right after a "--flag" is treated as that flag's value UNLESS the flag

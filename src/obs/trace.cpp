@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "obs/json_writer.hpp"
@@ -13,6 +12,11 @@ namespace rt3 {
 namespace {
 
 std::uint64_t next_recorder_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t next_thread_ordinal() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
@@ -88,20 +92,36 @@ TraceRecorder::TraceRecorder(const TraceConfig& config)
     : recorder_id_(next_recorder_id()), t0_(wall_now()), config_(config) {}
 
 TraceRecorder::Buffer* TraceRecorder::local_buffer() {
-  // Cache keyed by a unique recorder id, not the address: a recorder
-  // constructed at a dead one's address must not inherit its buffer.
-  // Lookup-only map: never iterated, so hash order cannot leak into any
-  // output.
-  // rt3-lint: allow(raw-parallel, hash-order) per-thread lookup-only cache
-  thread_local std::unordered_map<std::uint64_t, Buffer*> cache;
-  const auto it = cache.find(recorder_id_);
-  if (it != cache.end()) {
-    return it->second;
+  // One cached (recorder, buffer) pair per thread, keyed by a unique
+  // recorder id, not the address: a recorder constructed at a dead one's
+  // address must not inherit its buffer.  A miss (first event, or a
+  // thread alternating between recorders) finds this thread's buffer in
+  // the recorder, so the cache never outgrows one entry.
+  struct Cached {
+    std::uint64_t recorder_id = ~std::uint64_t{0};
+    Buffer* buffer = nullptr;
+  };
+  // rt3-lint: allow(raw-parallel) per-thread cache and identity, no sharing
+  thread_local Cached cached;
+  if (cached.recorder_id == recorder_id_) {
+    return cached.buffer;
   }
+  // rt3-lint: allow(raw-parallel) per-thread cache and identity, no sharing
+  thread_local const std::uint64_t thread_ordinal = next_thread_ordinal();
   MutexLock lock(mu_);
-  buffers_.push_back(std::make_unique<Buffer>());
-  Buffer* buffer = buffers_.back().get();
-  cache[recorder_id_] = buffer;
+  Buffer* buffer = nullptr;
+  for (const auto& b : buffers_) {
+    if (b->thread_ordinal == thread_ordinal) {
+      buffer = b.get();
+      break;
+    }
+  }
+  if (buffer == nullptr) {
+    buffers_.push_back(std::make_unique<Buffer>());
+    buffer = buffers_.back().get();
+    buffer->thread_ordinal = thread_ordinal;
+  }
+  cached = {recorder_id_, buffer};
   return buffer;
 }
 

@@ -148,7 +148,7 @@ class TraceRecorder {
   }
 
   /// Publishes the driver loop's virtual clock; components without clock
-  /// access (batcher, router, engine, backend) stamp events with this.
+  /// access (batcher, engine, backend) stamp events with this.
   void set_now_ms(double now_ms) { now_ms_ = now_ms; }
   double now_ms() const { return now_ms_; }
 
@@ -178,6 +178,8 @@ class TraceRecorder {
     static constexpr std::size_t kChunk = 2048;
     std::vector<std::vector<TraceEvent>> chunks;
     std::size_t size = 0;
+    /// Process-unique ordinal of the thread that owns this buffer.
+    std::uint64_t thread_ordinal = 0;
 
     void push(TraceEvent&& event);
     const TraceEvent& operator[](std::size_t i) const {
@@ -189,8 +191,8 @@ class TraceRecorder {
   std::vector<const TraceEvent*> sorted_events() const RT3_EXCLUDES(mu_);
 
   /// Distinguishes recorders in the thread-local buffer cache (a new
-  /// recorder at a recycled address must not alias a dead one's cache
-  /// entry).
+  /// recorder at a recycled address must not alias a dead one's cached
+  /// buffer).
   const std::uint64_t recorder_id_;
   mutable Mutex mu_{"TraceRecorder::mu_"};
   /// Registration (growing the vector) requires mu_; each Buffer's

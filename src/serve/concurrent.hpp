@@ -59,12 +59,11 @@ auto consume_schedule_concurrently(const std::vector<Request>& schedule,
     while (queue.pop(r)) {
       collected.push_back(r);
     }
-    std::sort(collected.begin(), collected.end(),
-              [](const Request& a, const Request& b) {
-                return a.arrival_ms != b.arrival_ms
-                           ? a.arrival_ms < b.arrival_ms
-                           : a.id < b.id;
-              });
+    const auto by_arrival = [](const Request& a, const Request& b) {
+      return a.arrival_ms != b.arrival_ms ? a.arrival_ms < b.arrival_ms
+                                          : a.id < b.id;
+    };
+    std::sort(collected.begin(), collected.end(), by_arrival);
     stats = serve(collected);
   } catch (...) {
     consumer_error = std::current_exception();

@@ -124,9 +124,9 @@ NodeStats ServeNode::serve(const std::vector<Request>& schedule) {
   for (const std::int64_t id : registry_.ids()) {
     shards.push_back({id, registry_.find(id)});
   }
-  NodeStats stats =
-      serve_shards(shards, /*route_by_model_id=*/true, schedule, battery_,
-                   governor_.policy(), observers_);
+  NodeStats stats = serve_shards(shards, /*route_by_model_id=*/true,
+                                 schedule, battery_, governor_.policy(),
+                                 observers_);
   if (observers_.metrics != nullptr) {
     stats.publish(*observers_.metrics);
   }
@@ -136,10 +136,10 @@ NodeStats ServeNode::serve(const std::vector<Request>& schedule) {
 NodeStats serve_node_concurrent(ServeNode& node,
                                 const std::vector<Request>& schedule,
                                 std::int64_t producers) {
-  return consume_schedule_concurrently(
-      schedule, producers, [&node](const std::vector<Request>& sorted) {
-        return node.serve(sorted);
-      });
+  const auto serve = [&node](const std::vector<Request>& sorted) {
+    return node.serve(sorted);
+  };
+  return consume_schedule_concurrently(schedule, producers, serve);
 }
 
 }  // namespace rt3

@@ -28,8 +28,8 @@ struct Request {
   double deadline_ms = 0.0;
   /// Priority class, 0 = most urgent; only kEdfPriority looks at it.
   std::int64_t priority = 0;
-  /// Target model on a multi-model ServeNode (see serve/node.hpp); the
-  /// Router dispatches on this id.  Single-model Servers ignore it.
+  /// Target model on a multi-model ServeNode (see serve/node.hpp), which
+  /// routes on this id.  A single-model Server ignores it.
   std::int64_t model_id = 0;
 };
 
@@ -90,11 +90,12 @@ class RequestHeap {
 /// Producers push concurrently; consumers pop concurrently.  Pop order is
 /// policy-driven (a RequestHeap under the lock): FIFO by default, EDF or
 /// EDF-with-priority-classes when constructed with that SchedulerConfig.
-/// Note the Server's deterministic session path (serve_queue) re-sorts
-/// its drained pops by arrival timestamp and applies the policy inside
-/// the Batcher instead, so queue-level ordering matters to DIRECT
-/// consumers — front-ends popping requests themselves, dispatchers
-/// feeding multiple servers — not to serve_queue().
+/// Note the deterministic session path (serve_concurrent and
+/// serve_node_concurrent, serve/concurrent.hpp) re-sorts its drained pops
+/// by (arrival, id) and applies the policy inside the Batcher instead, so
+/// queue-level ordering matters to DIRECT consumers — front-ends popping
+/// requests themselves, dispatchers feeding multiple servers — not to
+/// that path.
 /// close() wakes everyone: pushes are rejected afterwards, pops drain what
 /// is left and then return false.  capacity 0 means unbounded; a bounded
 /// queue blocks producers when full (back-pressure).

@@ -104,9 +104,9 @@ ServerStats Server::serve(const std::vector<Request>& schedule) {
                                    observers_);
   ServerStats stats = std::move(session.per_model.front().second);
   if (observers_.metrics != nullptr) {
-    stats.publish(*observers_.metrics,
-                  MetricLabels{{"policy", stats.policy},
-                               {"backend", stats.backend}});
+    const MetricLabels labels{{"policy", stats.policy},
+                              {"backend", stats.backend}};
+    stats.publish(*observers_.metrics, labels);
   }
   return stats;
 }
@@ -139,11 +139,11 @@ NodeStats serve_shards(const std::vector<SessionShard>& shard_list,
   for (const SessionShard& ref : shard_list) {
     check(shards.empty() || shards.back().model_id < ref.model_id,
           "serve_shards: model ids must ascend");
-    shards.emplace_back(ref.model_id, ref.server);
+    Server* server = ref.server;
+    shards.emplace_back(ref.model_id, server);
     Shard& sh = shards.back();
-    sh.stats.backend = sh.server->backend().name();
-    sh.stats.policy =
-        scheduling_policy_name(sh.server->config().scheduler.policy);
+    sh.stats.backend = server->backend().name();
+    sh.stats.policy = scheduling_policy_name(server->config().scheduler.policy);
     sh.stats.runs_per_level.assign(ladder.levels().size(), 0.0);
   }
   // A node dispatches each request by Request::model_id (nullptr: no such
@@ -152,10 +152,12 @@ NodeStats serve_shards(const std::vector<SessionShard>& shard_list,
     if (!route_by_model_id) {
       return &shards.front();
     }
-    const auto it = std::lower_bound(
-        shards.begin(), shards.end(), r.model_id,
-        [](const Shard& sh, std::int64_t id) { return sh.model_id < id; });
-    return it != shards.end() && it->model_id == r.model_id ? &*it : nullptr;
+    for (Shard& sh : shards) {
+      if (sh.model_id == r.model_id) {
+        return &sh;
+      }
+    }
+    return nullptr;
   };
 
   NodeStats node;
@@ -370,8 +372,8 @@ NodeStats serve_shards(const std::vector<SessionShard>& shard_list,
         }
       }
       if (trace != nullptr) {
-        TraceEvent ev(admitted ? "arrive" : "reject", "request",
-                      r.arrival_ms, sh->model_id + 1);
+        const char* kind = admitted ? "arrive" : "reject";
+        TraceEvent ev(kind, "request", r.arrival_ms, sh->model_id + 1);
         ev.id = r.id;
         ev.arg("deadline_ms", r.deadline_ms).arg("model_id", sh->model_id);
         trace->record(std::move(ev));
@@ -633,10 +635,10 @@ NodeStats serve_shards(const std::vector<SessionShard>& shard_list,
 ServerStats serve_concurrent(Server& server,
                              const std::vector<Request>& schedule,
                              std::int64_t producers) {
-  return consume_schedule_concurrently(
-      schedule, producers, [&server](const std::vector<Request>& sorted) {
-        return server.serve(sorted);
-      });
+  const auto serve = [&server](const std::vector<Request>& sorted) {
+    return server.serve(sorted);
+  };
+  return consume_schedule_concurrently(schedule, producers, serve);
 }
 
 }  // namespace rt3

@@ -45,6 +45,30 @@ TEST(Args, RejectsTrailingGarbageAndNonNumbers) {
   EXPECT_EQ(arg_string(args, "--repeats", ""), "3x");  // strings pass through
 }
 
+TEST(Args, RejectsUnknownFlagsNamingTheClosestKnownOne) {
+  const std::vector<std::string> known = {"--policy", "--rate", "--shed"};
+  // Known flags, values and positionals pass.
+  EXPECT_NO_THROW(check_known_flags(
+      {"--policy", "edf", "--shed", "pos", "--rate", "-3"}, known));
+  EXPECT_NO_THROW(check_known_flags({}, {}));
+  try {
+    check_known_flags({"--policy", "edf", "--polcy", "edf"}, known);
+    FAIL() << "misspelled flag accepted";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown flag --polcy (did you mean --policy?)");
+  }
+  try {
+    check_known_flags({"--frobnicate", "--rat", "1"}, known);
+    FAIL() << "unknown flags accepted";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown flag --frobnicate, --rat (did you mean --rate?)");
+  }
+  // A subcommand that takes no flags rejects every one.
+  EXPECT_THROW(check_known_flags({"--rate", "1"}, {}), CheckError);
+}
+
 TEST(Check, NarrowRoundTrip) {
   EXPECT_EQ(narrow<std::int32_t>(std::int64_t{42}), 42);
   EXPECT_THROW(narrow<std::int8_t>(std::int64_t{1000}), CheckError);

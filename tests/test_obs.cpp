@@ -1126,6 +1126,48 @@ TEST(ObsDumps, SeededNodeSessionBytesArePinned) {
   }
 }
 
+// The per-thread buffer cache holds one recorder at a time: a thread
+// alternating between live recorders re-finds its own buffer in each, so
+// every recorder keeps exactly its own events, in append order (equal
+// sort keys leave only the per-thread sequence to order them).
+TEST(Trace, AlternatingRecordersOnOneThreadKeepTheirOwnEvents) {
+  TraceRecorder a(/*record_wall=*/false);
+  TraceRecorder b(/*record_wall=*/false);
+  constexpr std::int64_t kEvents = 300;
+  for (std::int64_t i = 0; i < kEvents; ++i) {
+    a.record(TraceEvent("a", "t", 0.0, 0).arg("i", i));
+    b.record(TraceEvent("b", "t", 0.0, 0).arg("i", i));
+    if (i % 3 == 0) {
+      b.record(TraceEvent("b", "t", 0.0, 0).arg("i", i));  // uneven mix
+    }
+  }
+  const auto check_own = [](const TraceRecorder& rec, const char* name,
+                            std::int64_t expected) {
+    const std::vector<TraceEvent> events = rec.merged();
+    ASSERT_EQ(static_cast<std::int64_t>(events.size()), expected);
+    std::int64_t last = -1;
+    for (const TraceEvent& ev : events) {
+      EXPECT_EQ(ev.name, name);
+      EXPECT_GE(ev.args[0].i, last);
+      last = ev.args[0].i;
+    }
+  };
+  check_own(a, "a", kEvents);
+  check_own(b, "b", kEvents + kEvents / 3);
+  {
+    // A recorder created after another died never sees its events, even
+    // at a recycled address.
+    TraceRecorder c(/*record_wall=*/false);
+    c.record(TraceEvent("c", "t", 0.0, 0).arg("i", std::int64_t{0}));
+    check_own(c, "c", 1);
+  }
+  TraceRecorder d(/*record_wall=*/false);
+  EXPECT_EQ(d.num_events(), 0);
+  d.record(TraceEvent("d", "t", 0.0, 0).arg("i", std::int64_t{0}));
+  check_own(d, "d", 1);
+  check_own(a, "a", kEvents);
+}
+
 TEST(Trace, TypedArgsRenderAtExport) {
   TraceRecorder trace(/*record_wall=*/false);
   TraceEvent ev("e", "c", 1.5, 2);

@@ -71,11 +71,13 @@
 //                            breach/recover events land on trace lane 0
 //                            and episodes print + export with --telemetry
 //       Flags also accept --flag=value form (common/args.hpp, shared with
-//       the bench executables).
+//       the bench executables).  Every subcommand rejects a flag it does
+//       not read (a misspelling fails instead of running the default).
 //   rt3 node [--models N] ...                         multi-model serving
 //       node: N backbone-resident models behind ONE battery/governor,
 //       requests routed by model id with optional feasibility admission.
-//       Takes every `rt3 serve` flag (applied per model) plus:
+//       Takes every `rt3 serve` flag but --tuning (applied per model)
+//       plus:
 //         --models N         resident models on the node     (3)
 //   rt3 tune [--out FILE] ...                         offline kernel
 //       autotuner: searches (k_tile, unroll, threads) per (layer, level)
@@ -141,7 +143,8 @@ namespace {
 
 using namespace rt3;
 
-int cmd_levels() {
+int cmd_levels(const std::vector<std::string>& args) {
+  check_known_flags(args, {});
   const VfTable table = VfTable::odroid_xu3_a7();
   const PowerModel power;
   TablePrinter t({"level", "freq (MHz)", "volt (mV)", "power (mW)"});
@@ -154,7 +157,9 @@ int cmd_levels() {
   return 0;
 }
 
-int cmd_info(const std::string& path) {
+int cmd_info(const std::vector<std::string>& args) {
+  check_known_flags(args, {});
+  const std::string& path = args.front();
   const DeploymentPackage pkg = DeploymentPackage::load(path);
   std::cout << "package: " << path << "\n"
             << "  parameters   : " << pkg.params.size() << " tensors, "
@@ -175,6 +180,7 @@ int cmd_info(const std::string& path) {
 }
 
 int cmd_search(const std::vector<std::string>& args) {
+  check_known_flags(args, {"--t", "--episodes", "--out"});
   const double t_ms = arg_double(args, "--t", 104.0);
   const auto episodes =
       static_cast<std::int64_t>(arg_double(args, "--episodes", 4));
@@ -224,6 +230,7 @@ int cmd_search(const std::vector<std::string>& args) {
 }
 
 int cmd_simulate(const std::vector<std::string>& args) {
+  check_known_flags(args, {"--capacity", "--t"});
   const double capacity = arg_double(args, "--capacity", 5e4);
   const double t_ms = arg_double(args, "--t", 115.0);
   const VfTable table = VfTable::odroid_xu3_a7();
@@ -316,6 +323,21 @@ void report_observability(const ObsOutputs& obs, TraceRecorder* trace_mut) {
   }
 }
 
+/// Concatenates flag-name lists (for check_known_flags).
+std::vector<std::string> join_flags(
+    std::initializer_list<std::vector<std::string>> sets) {
+  std::vector<std::string> all;
+  for (const std::vector<std::string>& set : sets) {
+    all.insert(all.end(), set.begin(), set.end());
+  }
+  return all;
+}
+
+/// The flags parse_obs_flags reads.
+const std::vector<std::string> kObsFlagNames = {
+    "--trace", "--metrics", "--metrics-format", "--telemetry", "--slo",
+    "--sample-every", "--max-trace-events"};
+
 /// The observability flags shared by `rt3 serve` and `rt3 node`.
 struct ObsFlags {
   std::string trace_path;
@@ -340,6 +362,13 @@ ObsFlags parse_obs_flags(const std::vector<std::string>& args) {
   f.max_trace_events = arg_int(args, "--max-trace-events", 0);
   return f;
 }
+
+/// The flags parse_session_config reads.
+const std::vector<std::string> kSessionFlagNames = {
+    "--capacity", "--t", "--batch", "--wait", "--backend", "--policy",
+    "--prio-weight", "--aging", "--governor", "--governor-policy",
+    "--governor-margin", "--governor-batch", "--threads", "--shed",
+    "--admit"};
 
 /// The per-model session flags shared by `rt3 serve` and `rt3 node`.
 ServeSessionConfig parse_session_config(const std::vector<std::string>& args) {
@@ -375,6 +404,11 @@ ServeSessionConfig parse_session_config(const std::vector<std::string>& args) {
   return scfg;
 }
 
+/// The flags parse_traffic_config reads.
+const std::vector<std::string> kTrafficFlagNames = {
+    "--classes", "--jitter", "--tight-frac", "--tight-slack", "--scenario",
+    "--rate", "--duration", "--slack", "--seed"};
+
 /// The traffic flags shared by `rt3 serve` and `rt3 node`.
 TrafficConfig parse_traffic_config(const std::vector<std::string>& args) {
   TrafficConfig tcfg;
@@ -392,6 +426,9 @@ TrafficConfig parse_traffic_config(const std::vector<std::string>& args) {
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
+  check_known_flags(args, join_flags({kSessionFlagNames, kTrafficFlagNames,
+                                      kObsFlagNames,
+                                      {"--producers", "--tuning"}}));
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
   const std::int64_t producers = arg_int(args, "--producers", 2);
@@ -501,6 +538,9 @@ int cmd_serve(const std::vector<std::string>& args) {
 }
 
 int cmd_node(const std::vector<std::string>& args) {
+  check_known_flags(args, join_flags({kSessionFlagNames, kTrafficFlagNames,
+                                      kObsFlagNames,
+                                      {"--models", "--producers"}}));
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
   tcfg.num_models = arg_int(args, "--models", 3);
@@ -576,6 +616,10 @@ int cmd_node(const std::vector<std::string>& args) {
 /// search is skipped and an existing record is applied + re-serialized,
 /// which doubles as the format round-trip check in CI.
 int cmd_tune(const std::vector<std::string>& args) {
+  check_known_flags(
+      args, join_flags({kSessionFlagNames,
+                        {"--out", "--load", "--samples", "--finalists",
+                         "--repeats", "--tune-batch", "--tune-seed"}}));
   ServeSessionConfig scfg = parse_session_config(args);
   scfg.backend = ExecBackendKind::kMeasured;
   const std::string out = arg_string(args, "--out", "rt3_tuning.txt");
@@ -634,6 +678,10 @@ int cmd_tune(const std::vector<std::string>& args) {
 /// With --load the training is skipped and an existing artifact is
 /// re-serialized, which doubles as the format round-trip check in CI.
 int cmd_train_governor(const std::vector<std::string>& args) {
+  check_known_flags(
+      args, join_flags({kSessionFlagNames, kTrafficFlagNames,
+                        {"--out", "--load", "--episodes", "--hidden", "--lr",
+                         "--governor-seed", "--sample-seed"}}));
   const std::string out = arg_string(args, "--out", "rt3_governor.txt");
   const std::string load = arg_string(args, "--load", "");
 
@@ -689,6 +737,9 @@ int cmd_train_governor(const std::vector<std::string>& args) {
 /// telemetry series + SLO breaches + miss attribution into a terminal
 /// summary and/or a self-contained HTML report.
 int cmd_report(const std::vector<std::string>& args) {
+  // tools/report.py's argparse options.
+  check_known_flags(args, {"--telemetry", "--metrics", "--trace", "--out",
+                           "--title", "--help"});
   std::string script;
   for (const char* candidate : {"tools/report.py", "../tools/report.py"}) {
     if (std::ifstream(candidate).good()) {
@@ -738,7 +789,8 @@ int usage() {
       "           [--sample-every N] [--slo]\n"
       "                                 (flags accept --flag=value too)\n"
       "                                                 battery-aware serving\n"
-      "  node     [--models N] + every serve flag       multi-model node:\n"
+      "  node     [--models N] + every serve flag but --tuning\n"
+      "                                                 multi-model node:\n"
       "                                 N models, ONE battery/governor,\n"
       "                                 model-id routing + admission\n"
       "  tune     [--out FILE] [--load FILE] [--samples N] [--finalists N]\n"
@@ -768,13 +820,13 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args = split_flag_args(argc, argv, 2);
   try {
     if (cmd == "levels") {
-      return cmd_levels();
+      return cmd_levels(args);
     }
     if (cmd == "info") {
       if (args.empty()) {
         return usage();
       }
-      return cmd_info(args[0]);
+      return cmd_info(args);
     }
     if (cmd == "search") {
       return cmd_search(args);
