@@ -91,54 +91,16 @@ bool arg_present(const std::vector<std::string>& args,
   return false;
 }
 
-namespace {
-
-/// Levenshtein distance, for the did-you-mean hint.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) {
-    row[j] = j;
-  }
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-}  // namespace
-
 void check_known_flags(const std::vector<std::string>& args,
                        const std::vector<std::string>& known) {
   std::string unknown;
   for (const std::string& token : args) {
-    if (token.rfind("--", 0) != 0 ||
-        std::find(known.begin(), known.end(), token) != known.end()) {
-      continue;
-    }
-    unknown += (unknown.empty() ? "" : ", ") + token;
-    const std::string* closest = nullptr;
-    std::size_t best = 3;  // suggest only within two edits
-    for (const std::string& flag : known) {
-      const std::size_t d = edit_distance(token, flag);
-      if (d < best) {
-        best = d;
-        closest = &flag;
-      }
-    }
-    if (closest != nullptr) {
-      unknown += " (did you mean " + *closest + "?)";
+    if (token.rfind("--", 0) == 0 &&
+        std::find(known.begin(), known.end(), token) == known.end()) {
+      unknown += (unknown.empty() ? "" : ", ") + token;
     }
   }
-  if (!unknown.empty()) {
-    throw CheckError("unknown flag " + unknown);
-  }
+  check(unknown.empty(), "unknown flag " + unknown);
 }
 
 std::vector<std::string> positional_args(

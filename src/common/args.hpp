@@ -35,9 +35,9 @@ bool arg_present(const std::vector<std::string>& args,
                  const std::string& flag);
 
 /// Throws CheckError naming every "--flag" token in `args` that `known`
-/// does not list (each with the closest known flag within two edits), so
-/// a misspelled flag fails loudly instead of being silently ignored.
-/// Tokens that do not start with "--" (values, positionals) are skipped.
+/// does not list, so a misspelled flag fails loudly instead of being
+/// silently ignored.  Tokens that do not start with "--" (values,
+/// positionals) are skipped.
 void check_known_flags(const std::vector<std::string>& args,
                        const std::vector<std::string>& known);
 

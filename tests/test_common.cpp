@@ -45,25 +45,20 @@ TEST(Args, RejectsTrailingGarbageAndNonNumbers) {
   EXPECT_EQ(arg_string(args, "--repeats", ""), "3x");  // strings pass through
 }
 
-TEST(Args, RejectsUnknownFlagsNamingTheClosestKnownOne) {
+TEST(Args, RejectsUnknownFlagsNamingThem) {
   const std::vector<std::string> known = {"--policy", "--rate", "--shed"};
   // Known flags, values and positionals pass.
   EXPECT_NO_THROW(check_known_flags(
       {"--policy", "edf", "--shed", "pos", "--rate", "-3"}, known));
   EXPECT_NO_THROW(check_known_flags({}, {}));
   try {
-    check_known_flags({"--policy", "edf", "--polcy", "edf"}, known);
-    FAIL() << "misspelled flag accepted";
+    check_known_flags({"--policy", "edf", "--polcy", "edf", "--rat", "1"},
+                      known);
+    FAIL() << "misspelled flags accepted";
   } catch (const CheckError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "unknown flag --polcy (did you mean --policy?)");
-  }
-  try {
-    check_known_flags({"--frobnicate", "--rat", "1"}, known);
-    FAIL() << "unknown flags accepted";
-  } catch (const CheckError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "unknown flag --frobnicate, --rat (did you mean --rate?)");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown flag --polcy, --rat"), std::string::npos)
+        << what;
   }
   // A subcommand that takes no flags rejects every one.
   EXPECT_THROW(check_known_flags({"--rate", "1"}, {}), CheckError);

@@ -132,8 +132,8 @@ struct SessionDumps {
   std::string trace;
 };
 
-/// Serves `schedule` through `serve` with trace, telemetry and SLO
-/// attached via `attach`, and returns the four exports.
+/// Runs the session `serve` with trace, telemetry and SLO attached via
+/// `attach`, and returns the stats JSON and the three observer exports.
 template <typename Attach, typename Serve>
 SessionDumps observed_dumps(Attach&& attach, Serve&& serve) {
   TraceRecorder trace(/*record_wall=*/false);
